@@ -6,8 +6,7 @@
 
 use anduril_bench::TextTable;
 use anduril_core::{
-    explore, explore_batched, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, SearchContext, Strategy,
+    explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchContext, Strategy,
 };
 use anduril_failures::{case_by_id, FailureCase};
 use anduril_ir::Value;
@@ -57,15 +56,6 @@ fn main() {
         "full-feedback",
         "exhaustive",
         "fate",
-    ]);
-    let mut scale_t = TextTable::new(&[
-        "Case",
-        "sequential",
-        "batched x1",
-        "batched x2",
-        "batched x4",
-        "batched x8",
-        "speedup x4",
     ]);
     for id in ["f17", "f1", "f16"] {
         let case = scaled(id);
@@ -121,46 +111,8 @@ fn main() {
             cells[2].clone(),
         ]);
 
-        // Thread scaling of the batched explorer against the sequential
-        // baseline. Results are identical by construction; only the wall
-        // time moves.
-        let mut seq = FeedbackStrategy::new(FeedbackConfig::full());
-        let seq_r = explore(&ctx, &case.oracle, &mut seq, &cfg, Some(gt.site)).expect("explore");
-        let mut scale_cells = vec![
-            id.to_string(),
-            format!("{} rnd / {}ms", seq_r.rounds, seq_r.wall.as_millis()),
-        ];
-        let mut wall_x4 = None;
-        for threads in [1usize, 2, 4, 8] {
-            let batch = BatchExplorerConfig {
-                batch_size: 8,
-                threads,
-            };
-            let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-            let r = explore_batched(&ctx, &case.oracle, &mut s, &cfg, &batch, Some(gt.site))
-                .expect("explore_batched");
-            assert_eq!(r.rounds, seq_r.rounds, "batched diverged from sequential");
-            assert_eq!(
-                r.script.as_ref().map(|s| s.to_text()),
-                seq_r.script.as_ref().map(|s| s.to_text()),
-                "batched script diverged from sequential"
-            );
-            if threads == 4 {
-                wall_x4 = Some(r.wall);
-            }
-            scale_cells.push(format!("{}ms", r.wall.as_millis()));
-        }
-        scale_cells.push(match wall_x4 {
-            Some(w4) if !w4.is_zero() => {
-                format!("{:.2}x", seq_r.wall.as_secs_f64() / w4.as_secs_f64())
-            }
-            _ => "-".to_string(),
-        });
-        scale_t.row(scale_cells);
         eprintln!("done: {id}");
     }
     println!("Scale stress: 10-15x workloads (round cap 4000)\n");
     println!("{}", t.render());
-    println!("\nBatched-explorer thread scaling (batch 8, identical results asserted)\n");
-    println!("{}", scale_t.render());
 }

@@ -7,17 +7,9 @@
 //! `run_compiled`. Before timing, one round per case is cross-checked for
 //! byte-identical results, so the numbers compare equal work.
 //!
-//! A second section benches snapshot-resume against full replay: each
-//! case captures a fault-free prefix once, then replays a late-divergence
-//! injection — the round shape a feedback search reruns on speculation
-//! misses and replay verification — both from step zero and resumed from
-//! the latest pre-divergence snapshot. Resumed results are cross-checked
-//! byte-identical before timing.
-//!
-//! Emits `BENCH_sim.json` (per-case rounds/sec, ns/step, speedup, plus
-//! top-level `vm_slower_than_ast_cases` and
-//! `snapshot_slower_than_replay_cases` counts CI can grep) and prints
-//! summary tables. `--smoke` runs a reduced matrix; `--out PATH` overrides
+//! Emits `BENCH_sim.json` (per-case rounds/sec, ns/step, speedup, plus a
+//! top-level `vm_slower_than_ast_cases` count CI can grep) and prints a
+//! summary table. `--smoke` runs a reduced matrix; `--out PATH` overrides
 //! the output path.
 
 use std::fmt::Write as _;
@@ -26,10 +18,7 @@ use std::time::Instant;
 use anduril_bench::{median, TextTable};
 use anduril_failures::all_cases;
 use anduril_ir::lower::compile;
-use anduril_sim::{
-    run_compiled, run_compiled_capture, run_compiled_resume, Engine, InjectionPlan, SimConfig,
-    SnapshotPolicy,
-};
+use anduril_sim::{run_compiled, Engine, InjectionPlan, SimConfig};
 
 struct CaseResult {
     id: &'static str,
@@ -42,25 +31,6 @@ struct CaseResult {
     vm_ns_per_step: u64,
     ast_ns_per_step: u64,
     compile_ns: u64,
-    speedup: f64,
-    snapshot: SnapshotResult,
-}
-
-/// Snapshot-vs-replay measurements for one case's late-divergence round.
-struct SnapshotResult {
-    /// One-time cost of the capturing fault-free run.
-    capture_ns: u64,
-    /// Snapshots retained in the captured prefix.
-    snapshots: usize,
-    /// Whether the timed rounds actually resumed (false = the run is too
-    /// short to snapshot before the divergence point; resume degrades to
-    /// full replay and the speedup hovers at parity).
-    resumed: bool,
-    replay_ns_median: u64,
-    resume_ns_median: u64,
-    replay_rounds_per_sec: u64,
-    resume_rounds_per_sec: u64,
-    /// Full-replay median over resume median.
     speedup: f64,
 }
 
@@ -169,90 +139,6 @@ fn main() {
         let (mut ast_ns, ast_steps) = time_engine(Engine::TreeWalk);
         assert_eq!(vm_steps, ast_steps, "{}: step totals diverged", case.id);
 
-        // ---- snapshot-vs-replay ----------------------------------------
-        // Capture a fault-free prefix once, then rerun the same seed with
-        // an injection at the run's *last* dynamic fault instance: the
-        // worst-case late divergence, where full replay redoes the whole
-        // prefix and resume skips to the newest snapshot before it.
-        let snap_cfg = cfg_for(Engine::Vm, gt.seed);
-        let t = Instant::now();
-        let (base, prefix) = run_compiled_capture(
-            program,
-            &compiled,
-            topo,
-            &snap_cfg,
-            InjectionPlan::none(),
-            &SnapshotPolicy::default(),
-        )
-        .expect("capture run");
-        let capture_ns = t.elapsed().as_nanos() as u64;
-        let late_plan = base
-            .trace
-            .last()
-            .map(|t| {
-                let exc = program.sites[t.site.index()].exceptions[0];
-                InjectionPlan::exact(t.site, t.occurrence, exc)
-            })
-            .unwrap_or_else(InjectionPlan::none);
-
-        // Untimed cross-check: resume must be byte-identical to replay.
-        let full = run_compiled(program, &compiled, topo, &snap_cfg, late_plan.clone())
-            .expect("full replay");
-        let (resumed_r, info) = run_compiled_resume(
-            program,
-            &compiled,
-            topo,
-            &snap_cfg,
-            late_plan.clone(),
-            &prefix,
-        )
-        .expect("resume run");
-        assert_eq!(full.log, resumed_r.log, "{}: resume diverged", case.id);
-        assert_eq!(full.trace, resumed_r.trace, "{}: resume diverged", case.id);
-        assert_eq!(full.steps, resumed_r.steps, "{}: resume diverged", case.id);
-
-        let time_rounds = |resume: bool| -> Vec<u64> {
-            let mut ns = Vec::with_capacity(schedule.len());
-            for _ in 0..schedule.len() {
-                let t = Instant::now();
-                let r = if resume {
-                    run_compiled_resume(
-                        program,
-                        &compiled,
-                        topo,
-                        &snap_cfg,
-                        late_plan.clone(),
-                        &prefix,
-                    )
-                    .expect("resume run")
-                    .0
-                } else {
-                    run_compiled(program, &compiled, topo, &snap_cfg, late_plan.clone())
-                        .expect("full replay")
-                };
-                ns.push(t.elapsed().as_nanos() as u64);
-                std::hint::black_box(r);
-            }
-            ns
-        };
-        let _ = time_rounds(false);
-        let mut replay_ns = time_rounds(false);
-        let mut resume_ns = time_rounds(true);
-        let replay_total: u64 = replay_ns.iter().sum();
-        let resume_total: u64 = resume_ns.iter().sum();
-        let replay_ns_median = median(&mut replay_ns);
-        let resume_ns_median = median(&mut resume_ns);
-        let snapshot = SnapshotResult {
-            capture_ns,
-            snapshots: prefix.snapshot_count(),
-            resumed: info.resumed,
-            replay_ns_median,
-            resume_ns_median,
-            replay_rounds_per_sec: per_sec(schedule.len(), replay_total),
-            resume_rounds_per_sec: per_sec(schedule.len(), resume_total),
-            speedup: replay_ns_median as f64 / resume_ns_median.max(1) as f64,
-        };
-
         let vm_total: u64 = vm_ns.iter().sum();
         let ast_total: u64 = ast_ns.iter().sum();
         let vm_ns_median = median(&mut vm_ns);
@@ -269,7 +155,6 @@ fn main() {
             ast_ns_per_step: ast_total / ast_steps.max(1),
             compile_ns,
             speedup: ast_ns_median as f64 / vm_ns_median.max(1) as f64,
-            snapshot,
         };
         table.row(vec![
             r.id.to_string(),
@@ -285,38 +170,6 @@ fn main() {
 
     let slower = results.iter().filter(|r| r.speedup < 1.0).count();
     let at_2x = results.iter().filter(|r| r.speedup >= 2.0).count();
-    // Regression gate for the snapshot path. The 0.9 slack covers cases
-    // too short to snapshot before their divergence point: resume falls
-    // back to full replay there, so the ratio is parity plus timer noise,
-    // never a real regression.
-    let snap_slower = results.iter().filter(|r| r.snapshot.speedup < 0.9).count();
-    let snap_at_5x = results.iter().filter(|r| r.snapshot.speedup >= 5.0).count();
-
-    let mut snap_table = TextTable::new(&[
-        "case",
-        "snaps",
-        "capture",
-        "replay (median)",
-        "resume (median)",
-        "resume rounds/s",
-        "speedup",
-    ]);
-    for r in &results {
-        let s = &r.snapshot;
-        snap_table.row(vec![
-            r.id.to_string(),
-            s.snapshots.to_string(),
-            format!("{:.1}us", s.capture_ns as f64 / 1e3),
-            format!("{:.1}us", s.replay_ns_median as f64 / 1e3),
-            format!("{:.1}us", s.resume_ns_median as f64 / 1e3),
-            s.resume_rounds_per_sec.to_string(),
-            format!(
-                "{:.2}x{}",
-                s.speedup,
-                if s.resumed { "" } else { " (fallback)" }
-            ),
-        ]);
-    }
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -330,11 +183,6 @@ fn main() {
     let _ = writeln!(json, "  \"cases\": {},", results.len());
     let _ = writeln!(json, "  \"cases_at_2x_or_better\": {at_2x},");
     let _ = writeln!(json, "  \"vm_slower_than_ast_cases\": {slower},");
-    let _ = writeln!(json, "  \"snapshot_cases_at_5x_or_better\": {snap_at_5x},");
-    let _ = writeln!(
-        json,
-        "  \"snapshot_slower_than_replay_cases\": {snap_slower},"
-    );
     let _ = writeln!(json, "  \"per_case\": [");
     for (i, r) in results.iter().enumerate() {
         let _ = writeln!(json, "    {{");
@@ -356,34 +204,7 @@ fn main() {
         );
         let _ = writeln!(json, "      \"vm_ns_per_step\": {},", r.vm_ns_per_step);
         let _ = writeln!(json, "      \"ast_ns_per_step\": {},", r.ast_ns_per_step);
-        let _ = writeln!(json, "      \"speedup\": {:.3},", r.speedup);
-        let s = &r.snapshot;
-        let _ = writeln!(json, "      \"snapshot\": {{");
-        let _ = writeln!(json, "        \"capture_ns\": {},", s.capture_ns);
-        let _ = writeln!(json, "        \"snapshots\": {},", s.snapshots);
-        let _ = writeln!(json, "        \"resumed\": {},", s.resumed);
-        let _ = writeln!(
-            json,
-            "        \"replay_ns_median\": {},",
-            s.replay_ns_median
-        );
-        let _ = writeln!(
-            json,
-            "        \"resume_ns_median\": {},",
-            s.resume_ns_median
-        );
-        let _ = writeln!(
-            json,
-            "        \"replay_rounds_per_sec\": {},",
-            s.replay_rounds_per_sec
-        );
-        let _ = writeln!(
-            json,
-            "        \"resume_rounds_per_sec\": {},",
-            s.resume_rounds_per_sec
-        );
-        let _ = writeln!(json, "        \"speedup\": {:.3}", s.speedup);
-        let _ = writeln!(json, "      }}");
+        let _ = writeln!(json, "      \"speedup\": {:.3}", r.speedup);
         let _ = writeln!(
             json,
             "    }}{}",
@@ -397,12 +218,6 @@ fn main() {
     println!("{}", table.render());
     println!(
         "{at_2x}/{} cases at >= 2x; {slower} cases where the VM is slower than tree-walk",
-        results.len()
-    );
-    println!("\nsnapshot-resume vs full replay (late-divergence round):");
-    println!("{}", snap_table.render());
-    println!(
-        "{snap_at_5x}/{} cases at >= 5x; {snap_slower} cases where resume regresses below replay",
         results.len()
     );
     println!("wrote {out_path}");

@@ -41,13 +41,12 @@
 //! vector ([`Strategy::observables_appended`]). No phase of
 //! [`SearchContext::prepare`] reruns.
 //!
-//! Determinism: promotion runs only on the trusted strategy at the
-//! explorer's shared note-drain point — the same program point in the
-//! sequential loop and the batch engine's merge loop — and every input
-//! (unit list, ranking, graphs, normal-run template set) is itself
-//! deterministic. Speculative clones never promote; their plans simply
-//! miss validation after a promotion and re-run inline, so sequential and
-//! batched streams stay byte-identical with adaptation on.
+//! Determinism: promotion runs at one program point, the explorer's
+//! note-drain between rounds, whether or not tracing is on, and every
+//! input (unit list, ranking, graphs, normal-run template set) is itself
+//! deterministic. Traced and untraced explorations therefore take the
+//! same search path, and repeated runs emit byte-identical streams with
+//! adaptation on.
 
 use std::collections::HashSet;
 

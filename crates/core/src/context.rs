@@ -7,8 +7,8 @@
 //! distribution from the normal run's timeline onto the failure log's
 //! timeline (§5.2.3).
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex, RwLock};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use anduril_causal::{
@@ -19,8 +19,7 @@ use anduril_logdiff::{
     compare_with, parse_log, Alignment, DiffRecord, GroupedLog, InternTable, InternedLog,
     ParsedEntry,
 };
-use anduril_sim::InjectionPlan;
-use anduril_sim::{RunResult, SeedPrefix, SimError, SnapshotPolicy};
+use anduril_sim::{InjectionPlan, RunResult, SimError};
 
 use crate::scenario::Scenario;
 use crate::trace::{NoopTracer, TraceEvent, Tracer};
@@ -65,12 +64,12 @@ pub struct PromotedObservable {
 
 /// The appendable half of the observable set.
 ///
-/// The context's prepared tables are frozen at preparation time and shared
-/// immutably with the batch engine's workers; promotions land here, behind
-/// a copy-on-swap `Arc`, so appending never invalidates a reader's
-/// snapshot. The set owns a *fresh* [`InternTable`] for witness keys — the
-/// frozen failure table is never touched, and appended tokens can never
-/// collide with failure-group tokens because the tables are disjoint.
+/// The context's prepared tables are frozen at preparation time;
+/// promotions land here, behind a copy-on-swap `Arc`, so appending never
+/// invalidates a reader's snapshot. The set owns a *fresh* [`InternTable`]
+/// for witness keys — the frozen failure table is never touched, and
+/// appended tokens can never collide with failure-group tokens because the
+/// tables are disjoint.
 #[derive(Debug, Clone, Default)]
 pub struct PromotedSet {
     table: InternTable,
@@ -134,89 +133,6 @@ pub struct FaultUnit {
     pub exc: ExceptionType,
 }
 
-/// Usage counters for the context's snapshot-prefix cache
-/// ([`SearchContext::snapshot_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotStats {
-    /// Rounds whose seed had a cached prefix available.
-    pub hits: u64,
-    /// Rounds whose seed had no cached prefix (or the cache is disabled).
-    pub misses: u64,
-    /// Hits that actually restored a snapshot instead of falling back to a
-    /// full replay (a hit falls back when every snapshot in the prefix
-    /// lies at or past the plan's first divergence point).
-    pub resumed: u64,
-    /// Seed prefixes currently stored.
-    pub stored: usize,
-}
-
-/// Default snapshot-cache capacity (distinct seeds retained). Small on
-/// purpose: the batch engine only ever reruns seeds from the current
-/// epoch, so anything beyond roughly one epoch of prefixes is dead
-/// weight.
-const DEFAULT_SNAPSHOT_CAPACITY: usize = 16;
-
-/// Seed-keyed cache of captured run prefixes, FIFO-evicted.
-///
-/// A run is a pure function of `(seed, plan)`, and until the armed plan
-/// first fires, the world's evolution depends only on the seed — so a
-/// prefix captured under one plan is reusable by *any* later run with the
-/// same seed, up to that run's own first divergence point. The cache is
-/// behind a [`Mutex`] because the batch engine's workers share one
-/// context; runs take milliseconds, the lock nanoseconds.
-#[derive(Debug)]
-struct SnapshotCache {
-    /// Maximum stored prefixes; `0` disables capture and resume.
-    capacity: usize,
-    /// Capture cadence handed to the simulator.
-    policy: SnapshotPolicy,
-    entries: HashMap<u64, Arc<SeedPrefix>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<u64>,
-    hits: u64,
-    misses: u64,
-    resumed: u64,
-}
-
-impl SnapshotCache {
-    fn new(capacity: usize) -> Self {
-        SnapshotCache {
-            capacity,
-            policy: SnapshotPolicy::default(),
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
-            resumed: 0,
-        }
-    }
-
-    fn get(&mut self, seed: u64) -> Option<Arc<SeedPrefix>> {
-        match self.entries.get(&seed) {
-            Some(p) => {
-                self.hits += 1;
-                Some(Arc::clone(p))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn store(&mut self, prefix: SeedPrefix) {
-        let seed = prefix.seed();
-        if self.entries.insert(seed, Arc::new(prefix)).is_none() {
-            self.order.push_back(seed);
-            while self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.entries.remove(&old);
-                }
-            }
-        }
-    }
-}
-
 /// Everything a strategy can read when planning rounds.
 #[derive(Debug)]
 pub struct SearchContext {
@@ -231,8 +147,7 @@ pub struct SearchContext {
     /// `failure` interned and grouped once at preparation time: the
     /// per-round fast path diffs `u32` tokens against this instead of
     /// re-parsing and re-comparing strings. The intern table is frozen
-    /// here, which keeps the context shareable across the batch engine's
-    /// worker threads.
+    /// here; promotions intern into their own table ([`PromotedSet`]).
     pub failure_interned: InternedLog,
     /// Forces every round diff through the render-to-text → `parse_log` →
     /// string-compare baseline instead of the interned structured path.
@@ -270,17 +185,13 @@ pub struct SearchContext {
     pub base_seed: u64,
     /// The scenario's program lowered to the register-VM instruction
     /// stream, compiled once at preparation time and shared by every
-    /// round (including the batch engine's worker threads — `Arc`, and
-    /// compilation is independent of seed and plan).
+    /// round (compilation is independent of seed and plan).
     pub compiled: Arc<CompiledProgram>,
-    /// Captured run prefixes keyed by seed, for snapshot-resume
-    /// ([`SearchContext::run_round_capturing`]).
-    snapshots: Mutex<SnapshotCache>,
     /// Observables promoted mid-search by the adaptive layer, behind a
     /// copy-on-swap `Arc` so explorers holding `&SearchContext` can append
     /// between rounds while readers keep a coherent snapshot. Mutation
-    /// only ever happens on the (single) merge/sequential thread, with no
-    /// batch workers in flight — the lock satisfies the type system, not a
+    /// only ever happens between rounds of one exploration; the lock
+    /// provides interior mutability behind `&self`, not protection from a
     /// real race.
     promoted: RwLock<Arc<PromotedSet>>,
 }
@@ -462,7 +373,6 @@ impl SearchContext {
             bounds,
             base_seed,
             compiled,
-            snapshots: Mutex::new(SnapshotCache::new(DEFAULT_SNAPSHOT_CAPACITY)),
             promoted: RwLock::new(Arc::new(PromotedSet::default())),
         })
     }
@@ -575,119 +485,10 @@ impl SearchContext {
         *self.promoted.write().expect("promoted set poisoned") = Arc::new(PromotedSet::default());
     }
 
-    /// Sets the snapshot-prefix cache capacity (number of distinct seeds
-    /// whose prefixes are retained; the CLI's `--snapshots` knob). `0`
-    /// disables capture and resume entirely:
-    /// [`SearchContext::run_round_capturing`] degrades to a plain
-    /// [`SearchContext::run_round`], which in turn never consults the
-    /// cache.
-    pub fn set_snapshot_capacity(&mut self, capacity: usize) {
-        let cache = self.snapshots.get_mut().expect("snapshot cache poisoned");
-        cache.capacity = capacity;
-        while cache.order.len() > capacity {
-            if let Some(old) = cache.order.pop_front() {
-                cache.entries.remove(&old);
-            }
-        }
-    }
-
-    /// Current snapshot-cache usage counters.
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        let cache = self.snapshots.lock().expect("snapshot cache poisoned");
-        SnapshotStats {
-            hits: cache.hits,
-            misses: cache.misses,
-            resumed: cache.resumed,
-            stored: cache.entries.len(),
-        }
-    }
-
     /// Runs one round over the context's cached compilation — the
-    /// Explorer's hot path (used by both the sequential and the batched
-    /// engines).
-    ///
-    /// When a prefix for this seed is cached (a capture ran for it via
-    /// [`SearchContext::run_round_capturing`]), the run resumes from the
-    /// latest snapshot strictly before the plan's first divergence point
-    /// instead of replaying from step zero. Resumed results are
-    /// byte-identical to full replays — same RNG draws, step counts, log,
-    /// and trace — so callers cannot observe the difference except in
-    /// wall time.
+    /// Explorer's hot path.
     pub fn run_round(&self, seed: u64, plan: InjectionPlan) -> Result<RunResult, SimError> {
-        if let Some(prefix) = self.lookup_prefix(seed) {
-            return self.resume_round(seed, plan, &prefix);
-        }
         self.scenario.run_compiled(&self.compiled, seed, plan)
-    }
-
-    /// [`SearchContext::run_round`] that additionally captures the run's
-    /// clean prefix into the snapshot cache, so a later run with the same
-    /// seed (a speculation-miss rerun, a replay verification) can resume
-    /// mid-timeline. Capture costs world-state clones every snapshot
-    /// interval, so this is only worth calling where same-seed reruns are
-    /// plausible — the batch engine's speculative jobs; unique-seed paths
-    /// stay on [`SearchContext::run_round`].
-    pub fn run_round_capturing(
-        &self,
-        seed: u64,
-        plan: InjectionPlan,
-    ) -> Result<RunResult, SimError> {
-        let policy = {
-            let cache = self.snapshots.lock().expect("snapshot cache poisoned");
-            if cache.capacity == 0 {
-                return self.scenario.run_compiled(&self.compiled, seed, plan);
-            }
-            cache.policy
-        };
-        if let Some(prefix) = self.lookup_prefix(seed) {
-            return self.resume_round(seed, plan, &prefix);
-        }
-        let (result, prefix) = anduril_sim::run_compiled_capture(
-            &self.scenario.program,
-            &self.compiled,
-            &self.scenario.topology,
-            &self.scenario.config.with_seed(seed),
-            plan,
-            &policy,
-        )?;
-        self.snapshots
-            .lock()
-            .expect("snapshot cache poisoned")
-            .store(prefix);
-        Ok(result)
-    }
-
-    /// Cache lookup that respects the disabled state (capacity 0 neither
-    /// stores nor counts).
-    fn lookup_prefix(&self, seed: u64) -> Option<Arc<SeedPrefix>> {
-        let mut cache = self.snapshots.lock().expect("snapshot cache poisoned");
-        if cache.capacity == 0 {
-            return None;
-        }
-        cache.get(seed)
-    }
-
-    fn resume_round(
-        &self,
-        seed: u64,
-        plan: InjectionPlan,
-        prefix: &SeedPrefix,
-    ) -> Result<RunResult, SimError> {
-        let (result, info) = anduril_sim::run_compiled_resume(
-            &self.scenario.program,
-            &self.compiled,
-            &self.scenario.topology,
-            &self.scenario.config.with_seed(seed),
-            plan,
-            prefix,
-        )?;
-        if info.resumed {
-            self.snapshots
-                .lock()
-                .expect("snapshot cache poisoned")
-                .resumed += 1;
-        }
-        Ok(result)
     }
 
     /// Whether an injection candidate is statically feasible under the
@@ -840,14 +641,6 @@ fn nearest_distance(positions: &[usize], pos: f64) -> f64 {
     }
     best
 }
-
-// The batched explorer shares one context across worker threads; every
-// field is plain owned data, so this holds structurally — the assertion
-// turns an accidental `Rc`/`RefCell` regression into a compile error.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SearchContext>();
-};
 
 /// Picks the most specific template whose rendered form matches `body`
 /// (longest literal text wins; ties broken by id for determinism).

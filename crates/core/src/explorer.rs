@@ -136,7 +136,7 @@ pub struct RoundRecord {
     /// The observable `k*` attaining the min in the injected unit's
     /// `F_i = min_k (L_{i,k} + I_k)` at this round's state, when the
     /// strategy has a priority model (`None` for baselines or when nothing
-    /// injected). Identical between sequential and batched exploration.
+    /// injected).
     pub k_star: Option<usize>,
     /// Rank of the ground-truth root-cause site at planning time (Figure 6).
     pub gt_rank: Option<usize>,
@@ -184,7 +184,7 @@ impl Reproduction {
 
 /// Seed for round `round` of an exploration: `base_seed + 1 + round`,
 /// restoring the cross-run nondeterminism the flexible window handles.
-pub(crate) fn round_seed(cfg: &ExplorerConfig, round: usize) -> u64 {
+fn round_seed(cfg: &ExplorerConfig, round: usize) -> u64 {
     cfg.base_seed + 1 + round as u64
 }
 
@@ -205,14 +205,10 @@ fn extra_run_seed(base_seed: u64, round: usize, extra: usize) -> u64 {
     (z ^ (z >> 31)) | (1 << 63)
 }
 
-/// Shared round-absorption engine behind [`explore`] and
-/// [`crate::batch::explore_batched`].
-///
-/// Both explorers feed executed rounds through [`ExploreState::absorb`] in
-/// round order, so every piece of search state (oracle check, records,
-/// strategy feedback, §6 extra runs) evolves identically whether rounds
-/// were executed inline or speculatively on worker threads.
-pub(crate) struct ExploreState<'a> {
+/// Round-absorption state of one [`explore_traced`] run: the oracle
+/// check, per-round records, strategy feedback and §6 extra runs, plus the
+/// adaptive layer's promotion state.
+struct ExploreState<'a> {
     ctx: &'a SearchContext,
     oracle: &'a Oracle,
     cfg: &'a ExplorerConfig,
@@ -226,7 +222,7 @@ pub(crate) struct ExploreState<'a> {
 }
 
 impl<'a> ExploreState<'a> {
-    pub(crate) fn new(
+    fn new(
         ctx: &'a SearchContext,
         oracle: &'a Oracle,
         cfg: &'a ExplorerConfig,
@@ -250,11 +246,10 @@ impl<'a> ExploreState<'a> {
     /// cannot grow unbounded) and emits them tagged with `round`.
     ///
     /// This is also the adaptive layer's hook point: a `retry_pass` note
-    /// signals a stall, and promotion runs here — on the trusted strategy,
-    /// at the same program point in the sequential loop and the batch
-    /// engine's merge loop — whether or not tracing is on, so traced and
-    /// untraced explorations take identical search paths.
-    pub(crate) fn drain_notes(&mut self, strategy: &mut dyn Strategy, round: usize) {
+    /// signals a stall, and promotion runs here whether or not tracing is
+    /// on, so traced and untraced explorations take identical search
+    /// paths.
+    fn drain_notes(&mut self, strategy: &mut dyn Strategy, round: usize) {
         let notes = strategy.drain_notes();
         for note in notes {
             let stalled_pass = match &note {
@@ -282,7 +277,7 @@ impl<'a> ExploreState<'a> {
     ///
     /// Returns the finished [`Reproduction`] if this round satisfied the
     /// oracle.
-    pub(crate) fn absorb(
+    fn absorb(
         &mut self,
         strategy: &mut dyn Strategy,
         round: usize,
@@ -348,10 +343,8 @@ impl<'a> ExploreState<'a> {
                         desc: ctx.scenario.program.sites[site.index()].desc.clone(),
                     };
                     // Replay through the context rather than the script's
-                    // own (recompiling) entry point: the round loop's
-                    // cached compilation is reused, and in batch mode the
-                    // verification resumes from the successful round's
-                    // captured prefix — the seeds match by construction.
+                    // own (recompiling) entry point, so the round loop's
+                    // cached compilation is reused.
                     let verified = if self.cfg.verify_replay {
                         ctx.run_round(
                             script.seed,
@@ -430,7 +423,7 @@ impl<'a> ExploreState<'a> {
 
     /// Finishes the exploration without a reproduction (space exhausted or
     /// round budget spent).
-    pub(crate) fn give_up(mut self, strategy_name: &str) -> Reproduction {
+    fn give_up(mut self, strategy_name: &str) -> Reproduction {
         self.finish(strategy_name, false, None, false)
     }
 
@@ -442,13 +435,6 @@ impl<'a> ExploreState<'a> {
         replay_verified: bool,
     ) -> Reproduction {
         if self.tracer.enabled() {
-            let stats = self.ctx.snapshot_stats();
-            self.tracer.record(TraceEvent::SnapshotStats {
-                hits: stats.hits,
-                misses: stats.misses,
-                resumed: stats.resumed,
-                stored: stats.stored,
-            });
             self.tracer.record(TraceEvent::ExploreEnd {
                 success,
                 rounds: self.per_round.len(),

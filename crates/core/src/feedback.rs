@@ -219,7 +219,6 @@ pub struct FeedbackStrategy {
     /// Priority provenance of the most recent plan's top candidate.
     last_provenance: Option<PlanProvenance>,
     /// Lifecycle notes queued for the tracer (drained by the explorer).
-    /// Notes queued on speculative clones vanish with the clone.
     pending_notes: Vec<StrategyNote>,
 }
 
@@ -388,14 +387,7 @@ impl FeedbackStrategy {
         self.plan_prioritized_pass(ctx)
     }
 
-    /// State transition for "candidate `(site, exc)` fired at occurrence
-    /// key `occ`" — shared by real and speculative feedback.
-    fn note_injected(&mut self, site: SiteId, exc: ExceptionType, occ: u32) {
-        self.tried.insert((site, exc, occ));
-    }
-
-    /// State transition for "nothing in the window occurred" — shared by
-    /// real and speculative feedback.
+    /// State transition for "nothing in the window occurred".
     fn note_no_injection(&mut self) {
         // Double the window (§5.2.5). Saturating: after enough empty
         // rounds the window covers the whole candidate space and must stop
@@ -574,7 +566,8 @@ impl Strategy for FeedbackStrategy {
                     .occurrence
                     .map(|_| rec.occurrence)
                     .unwrap_or(u32::MAX);
-                self.note_injected(rec.candidate.site, rec.candidate.exc, occ);
+                self.tried
+                    .insert((rec.candidate.site, rec.candidate.exc, occ));
             }
             None => self.note_no_injection(),
         }
@@ -584,19 +577,6 @@ impl Strategy for FeedbackStrategy {
                     *p += self.cfg.adjust;
                 }
             }
-        }
-    }
-
-    fn speculate(&mut self, _ctx: &SearchContext, fired: Option<(Candidate, u32)>) {
-        // Mirrors `feedback` under the predictor's assumptions: the given
-        // candidate fires (or nothing does) and no observables are present,
-        // so `I_k` stays put and only the tried set / window move.
-        match fired {
-            Some((c, occ)) => {
-                let key = c.occurrence.map(|_| occ).unwrap_or(u32::MAX);
-                self.note_injected(c.site, c.exc, key);
-            }
-            None => self.note_no_injection(),
         }
     }
 

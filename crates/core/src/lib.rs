@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod batch;
 pub mod context;
 pub mod explorer;
 pub mod feedback;
@@ -35,10 +34,8 @@ pub mod trace;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveState};
 pub use anduril_causal::{Interval, OccurrenceBounds, PromotionCandidate, RootCall};
-pub use batch::{explore_batched, explore_batched_traced, reproduce_batched, BatchExplorerConfig};
 pub use context::{
     FaultUnit, ObservableInfo, PromotedObservable, PromotedSet, RoundOutcome, SearchContext,
-    SnapshotStats,
 };
 pub use explorer::{
     explore, explore_traced, reproduce, reproduce_traced, ExplorerConfig, ReproScript,

@@ -45,17 +45,6 @@ pub trait Strategy {
     /// Digests the outcome of an unsuccessful round.
     fn feedback(&mut self, ctx: &SearchContext, outcome: &RoundOutcome);
 
-    /// Applies a *predicted* round outcome during speculative batch
-    /// planning (see `explore_batched`): `fired` is the candidate the
-    /// predictor assumes will inject, with its dynamic occurrence, and no
-    /// observables are assumed present.
-    ///
-    /// Only ever called on a throwaway clone — never on the strategy whose
-    /// state the exploration trusts. The default no-op is always sound:
-    /// prediction quality only affects how many speculative runs can be
-    /// reused, never which results the exploration produces.
-    fn speculate(&mut self, _ctx: &SearchContext, _fired: Option<(Candidate, u32)>) {}
-
     /// Current rank of a fault site in the strategy's ordering, if the
     /// strategy ranks sites (used for Figure 6).
     fn site_rank(&self, _site: SiteId) -> Option<usize> {
@@ -107,6 +96,6 @@ pub trait Strategy {
     /// Strategies holding per-observable state — the `I_k` priority vector
     /// — extend it with neutral entries here, so feedback for promoted
     /// indices lands instead of being silently dropped. Only ever called
-    /// on the trusted strategy, between rounds.
+    /// between rounds.
     fn observables_appended(&mut self, _ctx: &SearchContext, _total: usize) {}
 }

@@ -10,25 +10,23 @@
 //!   [`TraceEvent::ContextPhase`] per phase (normal run, log parse, diff,
 //!   graph build with its §4.1 sub-phases, distances, alignment, pruning)
 //!   with durations and sizes, then a [`TraceEvent::ContextReady`] summary;
-//! - **per round** ([`crate::explorer::explore_traced`] and
-//!   [`crate::batch::explore_batched_traced`]): the strategy decision with
-//!   its priority provenance (the winning unit's `F_i`, the observable
-//!   `k*` and `L + I_k` that attained the min, the temporal-distance pick),
-//!   simulator counters, the oracle verdict, and the `I_k` feedback applied;
+//! - **per round** ([`crate::explorer::explore_traced`]): the strategy
+//!   decision with its priority provenance (the winning unit's `F_i`, the
+//!   observable `k*` and `L + I_k` that attained the min, the
+//!   temporal-distance pick), simulator counters, the oracle verdict, and
+//!   the `I_k` feedback applied;
 //! - **lifecycle**: retry-pass starts, candidate retirements and window
-//!   growth (queued by the strategy as [`StrategyNote`]s), and the batch
-//!   engine's epoch/speculation hit-miss records;
+//!   growth (queued by the strategy as [`StrategyNote`]s);
 //! - **on success**: a final [`TraceEvent::ProvenanceChain`] linking the
 //!   reproducing injection back through the observable and graph distance
 //!   that prioritized it.
 //!
 //! # Determinism
 //!
-//! The stream is deterministic: for the same case and seed, the sequential
-//! and batched explorers emit identical events modulo (a) host-time fields
-//! (`ns`-suffixed, excluded by [`TraceEvent::stable_json`]) and (b) the
-//! batch engine's extra epoch/slot events ([`TraceEvent::is_batch_only`]).
-//! `tests/trace_determinism.rs` asserts this byte for byte.
+//! The stream is deterministic: for the same case and seed, two runs emit
+//! identical events modulo host-time fields (`ns`-suffixed, excluded by
+//! [`TraceEvent::stable_json`]). `tests/trace_determinism.rs` asserts this
+//! byte for byte on every paper case.
 //!
 //! # Overhead
 //!
@@ -186,28 +184,6 @@ pub enum TraceEvent {
         /// The note.
         note: StrategyNote,
     },
-    /// The batch engine started a speculate-execute-validate epoch
-    /// (`ev: "epoch"`, batch-only).
-    EpochStart {
-        /// Epoch number (0-based).
-        epoch: usize,
-        /// First round of the epoch.
-        round: usize,
-        /// Speculative jobs planned.
-        jobs: usize,
-    },
-    /// Validation verdict for one speculative slot (`ev: "spec"`,
-    /// batch-only): `hit` means the precomputed run was reused.
-    Speculation {
-        /// Round validated.
-        round: usize,
-        /// Epoch it was speculated in.
-        epoch: usize,
-        /// Slot within the epoch.
-        slot: usize,
-        /// Whether the speculative result was reused.
-        hit: bool,
-    },
     /// A round finished executing (`ev: "round_end"`).
     RoundEnd {
         /// Round number.
@@ -270,21 +246,6 @@ pub enum TraceEvent {
         /// Fault units the promotion's scoped causal build newly connected
         /// (zero for refinement promotions over the prepared graph).
         units_added: usize,
-    },
-    /// Snapshot-cache counters at the end of exploration
-    /// (`ev: "snapshot_stats"`). Every field is volatile: sequential and
-    /// batched runs probe the cache in different orders (workers race, and
-    /// only the sequential loop replays merges through it), so the counts
-    /// are reporting-only and excluded from the deterministic stream.
-    SnapshotStats {
-        /// Prefix-cache hits (volatile).
-        hits: u64,
-        /// Prefix-cache misses (volatile).
-        misses: u64,
-        /// Simulation steps skipped by resuming from snapshots (volatile).
-        resumed: u64,
-        /// Snapshots resident at the end (volatile).
-        stored: usize,
     },
     /// The final provenance chain on success (`ev: "provenance"`): from
     /// the reproducing injection back through the observable and graph
@@ -383,23 +344,14 @@ fn provenance_json(p: &PlanProvenance) -> String {
 }
 
 impl TraceEvent {
-    /// `true` for events only the batch engine emits (epoch/slot records);
-    /// the sequential stream never contains them.
-    pub fn is_batch_only(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::EpochStart { .. } | TraceEvent::Speculation { .. }
-        )
-    }
-
     /// Serializes the event as one JSONL line (no trailing newline),
     /// including the volatile host-time fields.
     pub fn to_json(&self) -> String {
         self.render(true)
     }
 
-    /// The deterministic serialization: identical across sequential and
-    /// batched runs of the same search (volatile `*_ns` fields omitted).
+    /// The deterministic serialization: identical across repeated runs of
+    /// the same search (volatile `*_ns` fields omitted).
     pub fn stable_json(&self) -> String {
         self.render(false)
     }
@@ -506,35 +458,6 @@ impl TraceEvent {
                 json_escape(node_desc),
                 *l_old as i64 - *l_new as i64
             ),
-            TraceEvent::SnapshotStats {
-                hits,
-                misses,
-                resumed,
-                stored,
-            } => {
-                let mut s = String::from("{\"ev\":\"snapshot_stats\"");
-                if volatile {
-                    let _ = write!(
-                        s,
-                        ",\"hits\":{hits},\"misses\":{misses},\"resumed\":{resumed},\
-                         \"stored\":{stored}"
-                    );
-                }
-                s.push('}');
-                s
-            }
-            TraceEvent::EpochStart { epoch, round, jobs } => {
-                format!("{{\"ev\":\"epoch\",\"epoch\":{epoch},\"round\":{round},\"jobs\":{jobs}}}")
-            }
-            TraceEvent::Speculation {
-                round,
-                epoch,
-                slot,
-                hit,
-            } => format!(
-                "{{\"ev\":\"spec\",\"round\":{round},\"epoch\":{epoch},\"slot\":{slot},\
-                 \"hit\":{hit}}}"
-            ),
             TraceEvent::RoundEnd {
                 round,
                 injected,
@@ -626,8 +549,8 @@ impl TraceEvent {
 /// A sink for [`TraceEvent`]s.
 ///
 /// Implementations take `&self` (interior mutability) so one tracer can be
-/// shared by the context, the explorer, and the batch engine without
-/// threading `&mut` through every layer.
+/// shared by the context and the explorer without threading `&mut`
+/// through every layer.
 pub trait Tracer: Send + Sync {
     /// Whether events will be recorded. Emission sites guard on this, so a
     /// disabled tracer never pays for event construction.
@@ -1028,23 +951,6 @@ mod tests {
                 l_old: 4,
                 units_added: 2,
             },
-            TraceEvent::SnapshotStats {
-                hits: 10,
-                misses: 2,
-                resumed: 90000,
-                stored: 8,
-            },
-            TraceEvent::EpochStart {
-                epoch: 0,
-                round: 0,
-                jobs: 8,
-            },
-            TraceEvent::Speculation {
-                round: 3,
-                epoch: 0,
-                slot: 3,
-                hit: true,
-            },
             TraceEvent::RoundEnd {
                 round: 0,
                 injected: Some((SiteId(3), 5, ExceptionType::Io)),
@@ -1065,7 +971,7 @@ mod tests {
                 round: 17,
                 seed: 1018,
                 site: SiteId(3),
-                desc: "write \"wal\" entry".into(),
+                desc: "write \"wal\"\tentry\u{1}".into(),
                 occurrence: 5,
                 exc: ExceptionType::Io,
                 observable: "sync failed: {}".into(),
@@ -1093,14 +999,21 @@ mod tests {
         let end = events.last().unwrap().to_json();
         assert!(end.contains("wall_ns"));
         assert!(!events.last().unwrap().stable_json().contains("wall_ns"));
-        // Snapshot-cache counters are volatile in their entirety: the
-        // stable form degenerates to the bare event marker.
-        let stats = events
+        // Quotes, tabs and other control characters are escaped by
+        // `json_escape` and survive the parser round trip.
+        assert_eq!(
+            json_escape("write \"wal\"\tentry\u{1}"),
+            "write \\\"wal\\\"\\tentry\\u0001"
+        );
+        let chain = events
             .iter()
-            .find(|e| matches!(e, TraceEvent::SnapshotStats { .. }))
+            .find(|e| matches!(e, TraceEvent::ProvenanceChain { .. }))
             .unwrap();
-        assert!(stats.to_json().contains("\"misses\":2"));
-        assert_eq!(stats.stable_json(), "{\"ev\":\"snapshot_stats\"}");
+        let v = Json::parse(&chain.to_json()).unwrap();
+        assert_eq!(
+            v.get("desc").and_then(Json::as_str),
+            Some("write \"wal\"\tentry\u{1}")
+        );
     }
 
     #[test]

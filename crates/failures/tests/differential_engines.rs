@@ -4,15 +4,13 @@
 //! fault-site trace and occurrence counters, same RNG draw order, same
 //! final thread/node snapshots, same step counts. These tests pin that
 //! property over all 22 failure cases (faulty and fault-free runs), over
-//! whole explorations (sequential and `--threads 4` batched), and over the
-//! lowering pass's structural edge cases.
+//! whole explorations, and over the lowering pass's structural edge cases.
 //!
 //! Named with a `differential_` prefix so CI can verify the suite was not
 //! silently filtered out.
 
 use anduril_core::{
-    explore, explore_batched, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, Reproduction, SearchContext,
+    explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction, SearchContext,
 };
 use anduril_failures::all_cases;
 use anduril_ir::builder::ProgramBuilder;
@@ -106,7 +104,7 @@ fn assert_repro_agrees(tag: &str, a: &Reproduction, b: &Reproduction) {
     );
 }
 
-fn explore_with_engine(case_id: &str, engine: Engine, threads: usize) -> Reproduction {
+fn explore_with_engine(case_id: &str, engine: Engine) -> Reproduction {
     let case = anduril_failures::case_by_id(case_id).expect("case");
     let mut scenario = case.scenario.clone();
     scenario.config.engine = engine;
@@ -114,32 +112,18 @@ fn explore_with_engine(case_id: &str, engine: Engine, threads: usize) -> Reprodu
     let ctx = SearchContext::prepare(scenario, &failure_log, 1_000).expect("context");
     let cfg = ExplorerConfig::default();
     let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
-    if threads > 1 {
-        let batch = BatchExplorerConfig {
-            threads,
-            ..BatchExplorerConfig::default()
-        };
-        explore_batched(&ctx, &case.oracle, &mut strategy, &cfg, &batch, None).expect("explore")
-    } else {
-        explore(&ctx, &case.oracle, &mut strategy, &cfg, None).expect("explore")
-    }
+    explore(&ctx, &case.oracle, &mut strategy, &cfg, None).expect("explore")
 }
 
 #[test]
-fn differential_exploration_sequential_and_batched() {
+fn differential_exploration_vm_matches_tree_walk() {
     // Whole-search agreement: the engines must produce the same round
-    // sequence and the same reproduction script, sequentially and under
-    // speculative batched exploration with 4 worker threads.
+    // sequence and the same reproduction script.
     for case_id in ["f3", "f17"] {
-        let vm_seq = explore_with_engine(case_id, Engine::Vm, 1);
-        let ast_seq = explore_with_engine(case_id, Engine::TreeWalk, 1);
-        assert_repro_agrees(&format!("{case_id} sequential"), &vm_seq, &ast_seq);
-        assert!(vm_seq.success, "{case_id}: expected reproduction");
-
-        let vm_batch = explore_with_engine(case_id, Engine::Vm, 4);
-        let ast_batch = explore_with_engine(case_id, Engine::TreeWalk, 4);
-        assert_repro_agrees(&format!("{case_id} batched"), &vm_batch, &ast_batch);
-        assert_repro_agrees(&format!("{case_id} seq-vs-batch"), &vm_seq, &vm_batch);
+        let vm = explore_with_engine(case_id, Engine::Vm);
+        let ast = explore_with_engine(case_id, Engine::TreeWalk);
+        assert_repro_agrees(case_id, &vm, &ast);
+        assert!(vm.success, "{case_id}: expected reproduction");
     }
 }
 

@@ -6,8 +6,8 @@
 //! sanitized key to a `u32` token **once**, at [`InternedLog::new`] time,
 //! so per-thread diffs run over `&[u32]` with word equality. Round logs
 //! are tokenized by lookup only — the table is frozen after construction,
-//! which is what lets the batch engine share one [`InternedLog`] across
-//! worker threads through `&SearchContext` without synchronization.
+//! so one [`InternedLog`] serves every round of a search through
+//! `&SearchContext` and is never mutated by it.
 //!
 //! A round-log key absent from the failure log maps to the
 //! [`NO_MATCH_TOKEN`] sentinel. That is sound because [`myers_matches`]
@@ -134,11 +134,11 @@ impl InternTable {
     ///
     /// This is the append half of the incremental re-preparation story:
     /// observables promoted mid-search need their witness keys tokenized
-    /// so presence checks stay O(1) hash probes, but the table shared with
-    /// concurrently diffing workers must not move under them. Callers
-    /// therefore append to a private copy (or a fresh table) rather than
-    /// the one owned by an [`InternedLog`]; appended tokens never occur in
-    /// any frozen failure group, so diffs are unaffected either way.
+    /// so presence checks stay O(1) hash probes, but the frozen failure
+    /// table is read through a shared reference. Callers therefore append
+    /// to a private copy (or a fresh table) rather than the one owned by
+    /// an [`InternedLog`]; appended tokens never occur in any frozen
+    /// failure group, so diffs are unaffected either way.
     pub fn append(&mut self, level: Level, body: &str) -> u32 {
         self.intern(level, body)
     }

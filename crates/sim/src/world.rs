@@ -34,13 +34,11 @@ use anduril_ir::{
 
 mod events;
 mod exec_vm;
-pub mod snapshot;
 
 #[cfg(any(test, feature = "tree-walk-oracle"))]
 mod exec_ast;
 
 use events::EventQueue;
-use snapshot::CaptureState;
 
 /// Errors surfaced by the interpreter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,14 +101,14 @@ pub fn run_compiled(
     Ok(world.finish())
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct EventEntry {
     time: u64,
     seq: u64,
     kind: EventKind,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum EventKind {
     /// Run (or unblock, when `expired`) a thread.
     Wake {
@@ -143,26 +141,26 @@ impl Ord for EventEntry {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FutureState {
     done: Option<Result<Value, Arc<ExcValue>>>,
     waiters: Vec<ThreadId>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Task {
     func: FuncId,
     args: Vec<Value>,
     future: u64,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct ExecState {
     queue: VecDeque<Task>,
     worker: Option<ThreadId>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     name: Arc<str>,
     alive: bool,
@@ -222,9 +220,6 @@ struct World<'p> {
     spare_vals: Vec<Vec<Value>>,
     /// Recycled cursor stacks, same lifecycle as `spare_vals`.
     spare_cursors: Vec<Vec<Cursor>>,
-    /// Snapshot-capture bookkeeping; `None` (the common case) outside
-    /// [`snapshot::run_compiled_capture`] runs.
-    capture: Option<Box<CaptureState>>,
     started: Instant,
 }
 
@@ -247,7 +242,28 @@ impl<'p> World<'p> {
         } else {
             HashSet::new()
         };
-        let mut world = World::empty(program, compiled, cfg, plan, meta_set);
+        let mut world = World {
+            program,
+            compiled,
+            engine: cfg.engine,
+            cfg: cfg.clone(),
+            rng: SmallRng::seed_from_u64(cfg.seed),
+            clock: 0,
+            seq: 0,
+            events: EventQueue::new(),
+            threads: Vec::new(),
+            nodes: Vec::new(),
+            node_by_name: HashMap::new(),
+            futures: Vec::new(),
+            log: Vec::with_capacity(64),
+            fir: Fir::new(program.sites.len(), plan),
+            steps: 0,
+            meta_set,
+            regs: vec![Value::Unit; compiled.max_regs],
+            spare_vals: Vec::new(),
+            spare_cursors: Vec::new(),
+            started: Instant::now(),
+        };
         for (i, spec) in topo.nodes.iter().enumerate() {
             if world.node_by_name.contains_key(spec.name.as_str()) {
                 return Err(SimError::Internal(format!(
@@ -276,70 +292,6 @@ impl<'p> World<'p> {
             let tid = world.create_thread(i, &main_name, Role::Normal);
             world.push_entry_frame(tid, spec.main, spec.args.clone(), None)?;
             world.schedule_wake(tid, i as u64, false);
-        }
-        Ok(world)
-    }
-
-    /// The bare struct with no nodes, threads, or scheduled events.
-    fn empty(
-        program: &'p Program,
-        compiled: &'p CompiledProgram,
-        cfg: &SimConfig,
-        plan: InjectionPlan,
-        meta_set: HashSet<StmtRef>,
-    ) -> Self {
-        World {
-            program,
-            compiled,
-            engine: cfg.engine,
-            cfg: cfg.clone(),
-            rng: SmallRng::seed_from_u64(cfg.seed),
-            clock: 0,
-            seq: 0,
-            events: EventQueue::new(),
-            threads: Vec::new(),
-            nodes: Vec::new(),
-            node_by_name: HashMap::new(),
-            futures: Vec::new(),
-            log: Vec::with_capacity(64),
-            fir: Fir::new(program.sites.len(), plan),
-            steps: 0,
-            meta_set,
-            regs: vec![Value::Unit; compiled.max_regs],
-            spare_vals: Vec::new(),
-            spare_cursors: Vec::new(),
-            capture: None,
-            started: Instant::now(),
-        }
-    }
-
-    /// A world shell for `restore`: only the name→index map survives from
-    /// topology setup (a snapshot overwrites nodes, threads, futures, the
-    /// event wheel, RNG, log, and FIR wholesale), so the per-node globals
-    /// clones, entry frames, and initial wake events `new` performs would
-    /// be pure waste on the resume path. Must not be driven without a
-    /// `restore` first.
-    fn new_shell(
-        program: &'p Program,
-        compiled: &'p CompiledProgram,
-        topo: &Topology,
-        cfg: &SimConfig,
-        plan: InjectionPlan,
-    ) -> Result<Self, SimError> {
-        #[cfg(not(any(test, feature = "tree-walk-oracle")))]
-        if cfg.engine == Engine::TreeWalk {
-            return Err(SimError::Internal(
-                "tree-walk engine requires the `tree-walk-oracle` feature".into(),
-            ));
-        }
-        let meta_set = if cfg.engine == Engine::TreeWalk {
-            compiled.meta_points.iter().copied().collect()
-        } else {
-            HashSet::new()
-        };
-        let mut world = World::empty(program, compiled, cfg, plan, meta_set);
-        for (i, spec) in topo.nodes.iter().enumerate() {
-            world.node_by_name.insert(Arc::from(spec.name.as_str()), i);
         }
         Ok(world)
     }
@@ -610,13 +562,7 @@ impl<'p> World<'p> {
     // ---- main loop -------------------------------------------------------
 
     fn drive(&mut self) -> Result<(), SimError> {
-        loop {
-            // Snapshot at the loop top, where the state is a complete
-            // resumable quiescent point (the next event still queued).
-            if self.capture.is_some() {
-                self.maybe_snapshot();
-            }
-            let Some(ev) = self.events.pop() else { break };
+        while let Some(ev) = self.events.pop() {
             if ev.time > self.cfg.max_time {
                 break;
             }

@@ -34,13 +34,11 @@ const WHEEL: usize = 256;
 const NIL: u32 = u32::MAX;
 
 /// One pooled event plus its intra-slot FIFO link.
-#[derive(Clone)]
 struct Node {
     entry: EventEntry,
     next: u32,
 }
 
-#[derive(Clone)]
 pub(super) struct EventQueue {
     /// Per-slot FIFO list heads/tails, indexing into `pool`; `NIL` = empty.
     head: [u32; WHEEL],

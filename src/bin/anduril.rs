@@ -10,10 +10,9 @@
 
 use anduril::baselines::{CrashTuner, Fate, StacktraceInjector};
 use anduril::failures::{all_cases, case_by_id, FailureCase};
-use anduril::trace::{FileTracer, Json, NoopTracer, Tracer};
+use anduril::trace::{json_escape, FileTracer, Json, NoopTracer, Tracer};
 use anduril::{
-    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, SearchContext, Strategy,
+    explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchContext, Strategy,
 };
 
 fn usage() -> ! {
@@ -21,8 +20,7 @@ fn usage() -> ! {
         "usage:\n  anduril list\n  anduril show <case>\n  anduril log <case>\n  \
          anduril analyze [<case>|<system>|all] [--json FILE]\n  \
          anduril reproduce <case> [--strategy NAME] [--max-rounds N] [--emit-script FILE]\n  \
-         {0:21}[--threads N] [--batch N] [--trace FILE] [--engine vm|ast]\n  \
-         {0:21}[--snapshots N] [--adaptive on|off]\n  \
+         {0:21}[--trace FILE] [--engine vm|ast] [--adaptive on|off]\n  \
          anduril trace <file> [--summary | --round N | --promotions | --json]\n  \
          anduril replay <case> <script-file>\n  \
          anduril explain <case>\n  \
@@ -31,22 +29,16 @@ fn usage() -> ! {
          strategies: full (default), exhaustive, site-distance, site-distance-limit3,\n\
          site-feedback, multiply, sum-aggregate, order-distance, global-diff,\n\
          fate, crashtuner, crashtuner-meta-exc, stacktrace\n\n\
-         --threads > 1 explores in speculative parallel batches (identical\n\
-         results, less wall time); feedback-strategy variants only\n\n\
          --trace FILE records the structured search-trace stream (context\n\
-         phases, per-round decisions with priority provenance, feedback,\n\
-         speculation) as JSONL; `anduril trace FILE` renders it\n\n\
+         phases, per-round decisions with priority provenance, feedback)\n\
+         as JSONL; `anduril trace FILE` renders it\n\n\
          --engine selects the simulator executor: vm (default, bytecode\n\
          register VM) or ast (tree-walking oracle); both are byte-identical\n\n\
-         --snapshots N caps the snapshot-prefix cache at N seeds (default\n\
-         16; 0 disables). Batched rounds capture world-state snapshots so\n\
-         same-seed reruns (speculation misses, replay verification) resume\n\
-         mid-timeline; results are byte-identical either way\n\n\
          --adaptive on promotes synthetic observables from causal-graph\n\
          interior nodes when the search stalls (a retry pass begins),\n\
          re-shaping priorities around the top-ranked sites; off (default)\n\
          keeps the paper's frozen observable set. Feedback-strategy\n\
-         variants only; sequential and --threads runs stay byte-identical\n\n\
+         variants only\n\n\
          trace --promotions lists each promoted observable with its\n\
          provenance (source graph node, trigger pass, distance delta)\n\n\
          analyze prints the static-analysis report (site reduction, graph\n\
@@ -169,21 +161,6 @@ fn analyze_case(case: &anduril::failures::FailureCase) -> AnalyzeRow {
             .map(|w| w.to_string())
             .collect(),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn analyze_json(rows: &[AnalyzeRow]) -> String {
@@ -573,26 +550,6 @@ fn render_trace_summary(path: &str, events: &[(String, Json)]) {
         fmt_ns(workload_ns / n)
     );
 
-    let epochs = events.iter().filter(|(_, v)| ev_kind(v) == "epoch").count();
-    let specs: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "spec")
-        .collect();
-    if epochs > 0 || !specs.is_empty() {
-        let hits = specs
-            .iter()
-            .filter(|v| jbool(v, "hit") == Some(true))
-            .count();
-        println!(
-            "\nSpeculation: {} epochs, {} validated slots, {} hits ({:.0}% of parallel work reused)",
-            epochs,
-            specs.len(),
-            hits,
-            100.0 * hits as f64 / specs.len().max(1) as f64
-        );
-    }
-
     let notes: Vec<&Json> = events
         .iter()
         .map(|(_, v)| v)
@@ -659,16 +616,6 @@ fn render_trace_summary(path: &str, events: &[(String, Json)]) {
                 junum(p, "site"),
             );
         }
-    }
-
-    if let Some(s) = find_last("snapshot_stats") {
-        println!(
-            "\nSnapshot cache: {} hits, {} misses, {} ticks resumed, {} snapshots stored",
-            junum(s, "hits"),
-            junum(s, "misses"),
-            junum(s, "resumed"),
-            junum(s, "stored"),
-        );
     }
 
     if let Some(p) = find_last("provenance") {
@@ -756,16 +703,6 @@ fn render_trace_round(events: &[(String, Json)], n: u64) {
                 junum(v, "l_new"),
                 junum(v, "site"),
                 junum(v, "pass")
-            ),
-            "spec" => println!(
-                "  speculation: epoch {} slot {} — {}",
-                junum(v, "epoch"),
-                junum(v, "slot"),
-                if jbool(v, "hit") == Some(true) {
-                    "HIT (precomputed run reused)"
-                } else {
-                    "miss (re-run inline)"
-                }
             ),
             "round_end" => {
                 let inj = match v.get("injected") {
@@ -898,16 +835,6 @@ fn trace_report_json(events: &[(String, Json)]) -> String {
     let rounds = collect_rounds(events);
     let planning_ns: u64 = rounds.values().map(|r| r.init_ns).sum();
     let workload_ns: u64 = rounds.values().map(|r| r.workload_ns).sum();
-    let epochs = events.iter().filter(|(_, v)| ev_kind(v) == "epoch").count();
-    let specs: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "spec")
-        .collect();
-    let hits = specs
-        .iter()
-        .filter(|v| jbool(v, "hit") == Some(true))
-        .count();
     let note_count = |name: &str| {
         events
             .iter()
@@ -928,11 +855,6 @@ fn trace_report_json(events: &[(String, Json)]) -> String {
     let _ = writeln!(out, "  \"rounds\": {},", rounds.len());
     let _ = writeln!(out, "  \"planning_ns_total\": {planning_ns},");
     let _ = writeln!(out, "  \"workload_ns_total\": {workload_ns},");
-    let _ = writeln!(
-        out,
-        "  \"speculation\": {{\"epochs\": {epochs}, \"slots\": {}, \"hits\": {hits}}},",
-        specs.len()
-    );
     let bound_pruned: u64 = events
         .iter()
         .map(|(_, v)| v)
@@ -953,7 +875,6 @@ fn trace_report_json(events: &[(String, Json)]) -> String {
         .map(|(raw, _)| raw.trim().to_string())
         .collect();
     let _ = writeln!(out, "  \"promotions\": [{}],", promotions.join(", "));
-    let _ = writeln!(out, "  \"snapshot_stats\": {},", find_raw("snapshot_stats"));
     let _ = writeln!(out, "  \"provenance\": {},", find_raw("provenance"));
     let _ = writeln!(out, "  \"explore_end\": {}", find_raw("explore_end"));
     out.push_str("}\n");
@@ -1149,11 +1070,8 @@ fn main() {
             let mut strategy_name = "full".to_string();
             let mut max_rounds = 2_000usize;
             let mut emit_script: Option<String> = None;
-            let mut threads = 1usize;
-            let mut batch_size: Option<usize> = None;
             let mut trace_path: Option<String> = None;
             let mut engine: Option<anduril::sim::Engine> = None;
-            let mut snapshot_capacity: Option<usize> = None;
             let mut adaptive = false;
             let mut i = 2;
             while i < args.len() {
@@ -1173,21 +1091,6 @@ fn main() {
                         emit_script = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
                         i += 2;
                     }
-                    "--threads" => {
-                        threads = args
-                            .get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| usage());
-                        i += 2;
-                    }
-                    "--batch" => {
-                        batch_size = Some(
-                            args.get(i + 1)
-                                .and_then(|s| s.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        );
-                        i += 2;
-                    }
                     "--trace" => {
                         trace_path = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
                         i += 2;
@@ -1196,14 +1099,6 @@ fn main() {
                         engine = Some(
                             args.get(i + 1)
                                 .and_then(|s| anduril::sim::Engine::parse(s))
-                                .unwrap_or_else(|| usage()),
-                        );
-                        i += 2;
-                    }
-                    "--snapshots" => {
-                        snapshot_capacity = Some(
-                            args.get(i + 1)
-                                .and_then(|s| s.parse().ok())
                                 .unwrap_or_else(|| usage()),
                         );
                         i += 2;
@@ -1237,11 +1132,8 @@ fn main() {
             if let Some(e) = engine {
                 scenario.config.engine = e;
             }
-            let mut ctx = SearchContext::prepare_traced(scenario, &failure_log, 1_000, tracer)
+            let ctx = SearchContext::prepare_traced(scenario, &failure_log, 1_000, tracer)
                 .unwrap_or_else(|e| fail(format!("{}: context preparation: {e}", case.id)));
-            if let Some(cap) = snapshot_capacity {
-                ctx.set_snapshot_capacity(cap);
-            }
             eprintln!(
                 "{}: {} observables, {} candidate units, causal graph {}v/{}e",
                 case.id,
@@ -1255,41 +1147,16 @@ fn main() {
                 ..ExplorerConfig::default()
             };
             cfg.adaptive.enabled = adaptive;
-            let batched = threads > 1 || batch_size.is_some();
-            let r = if batched {
-                // The batched path speculates on a cloned strategy, so it
-                // is limited to the (Clone) feedback-strategy family.
-                let Some(fb_cfg) = feedback_config_by_name(&strategy_name) else {
-                    eprintln!("--threads/--batch require a feedback-strategy variant");
-                    std::process::exit(2);
-                };
-                let batch = BatchExplorerConfig {
-                    batch_size: batch_size.unwrap_or_else(|| threads.max(2) * 2),
-                    threads,
-                };
-                let mut strategy = FeedbackStrategy::new(fb_cfg);
-                explore_batched_traced(
-                    &ctx,
-                    &case.oracle,
-                    &mut strategy,
-                    &cfg,
-                    &batch,
-                    Some(gt.site),
-                    tracer,
-                )
-                .unwrap_or_else(|e| fail(format!("{}: exploration: {e}", case.id)))
-            } else {
-                let mut strategy = strategy_by_name(&strategy_name).unwrap_or_else(|| usage());
-                explore_traced(
-                    &ctx,
-                    &case.oracle,
-                    strategy.as_mut(),
-                    &cfg,
-                    Some(gt.site),
-                    tracer,
-                )
-                .unwrap_or_else(|e| fail(format!("{}: exploration: {e}", case.id)))
-            };
+            let mut strategy = strategy_by_name(&strategy_name).unwrap_or_else(|| usage());
+            let r = explore_traced(
+                &ctx,
+                &case.oracle,
+                strategy.as_mut(),
+                &cfg,
+                Some(gt.site),
+                tracer,
+            )
+            .unwrap_or_else(|e| fail(format!("{}: exploration: {e}", case.id)));
             if let Some(path) = &trace_path {
                 tracer.flush();
                 eprintln!("trace written to {path}");

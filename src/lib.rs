@@ -41,11 +41,10 @@
 //! ```
 
 pub use anduril_core::{
-    explore, explore_batched, explore_batched_traced, explore_traced, reproduce, reproduce_batched,
-    reproduce_traced, AdaptiveConfig, AdaptiveState, BatchExplorerConfig, Combine, Explanation,
-    ExplorerConfig, FaultUnit, FeedbackConfig, FeedbackStrategy, FileTracer, Json, NoopTracer,
-    ObservableInfo, Oracle, PlanProvenance, PromotedObservable, PromotedSet, ReproScript,
-    Reproduction, RoundOutcome, RoundRecord, Scenario, SearchContext, SnapshotStats, Strategy,
+    explore, explore_traced, reproduce, reproduce_traced, AdaptiveConfig, AdaptiveState, Combine,
+    Explanation, ExplorerConfig, FaultUnit, FeedbackConfig, FeedbackStrategy, FileTracer, Json,
+    NoopTracer, ObservableInfo, Oracle, PlanProvenance, PromotedObservable, PromotedSet,
+    ReproScript, Reproduction, RoundOutcome, RoundRecord, Scenario, SearchContext, Strategy,
     StrategyNote, TraceEvent, Tracer, VecTracer,
 };
 

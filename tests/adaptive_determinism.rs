@@ -1,8 +1,7 @@
 //! Adaptive observable promotion's determinism contract: with adaptation
-//! on, the sequential and batched (`--threads 4`) explorers emit
-//! byte-identical stable trace streams — promotions included — and with
-//! adaptation off (the default) the stream is byte-identical to a run
-//! that has no adaptive layer in play at all.
+//! on, repeated explorations emit byte-identical stable trace streams —
+//! promotions included — and with adaptation off (the default) the stream
+//! is byte-identical to a run that has no adaptive layer in play at all.
 //!
 //! The stall-prone context is manufactured the same way the
 //! `anduril-bench` adaptive ablation does: strip the nearest (strongest
@@ -12,8 +11,8 @@
 use anduril::failures::case_by_id;
 use anduril::trace::{TraceEvent, VecTracer};
 use anduril::{
-    explore_batched_traced, explore_traced, BatchExplorerConfig, ExplorerConfig, FeedbackConfig,
-    FeedbackStrategy, Oracle, Scenario, SearchContext,
+    explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle, Scenario,
+    SearchContext,
 };
 
 /// The degraded failure log of a case: every entry (line plus
@@ -56,33 +55,16 @@ fn traced_run(
     oracle: &Oracle,
     log: &str,
     cfg: &ExplorerConfig,
-    threads: Option<usize>,
 ) -> Vec<TraceEvent> {
     let ctx = SearchContext::prepare(scenario.clone(), log, 1_000).expect("context");
     let tracer = VecTracer::new();
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-    match threads {
-        None => {
-            explore_traced(&ctx, oracle, &mut s, cfg, None, &tracer).expect("explore");
-        }
-        Some(threads) => {
-            let batch = BatchExplorerConfig {
-                batch_size: 8,
-                threads,
-            };
-            explore_batched_traced(&ctx, oracle, &mut s, cfg, &batch, None, &tracer)
-                .expect("explore_batched");
-        }
-    }
+    explore_traced(&ctx, oracle, &mut s, cfg, None, &tracer).expect("explore");
     tracer.take()
 }
 
 fn stable_lines(events: &[TraceEvent]) -> Vec<String> {
-    events
-        .iter()
-        .filter(|e| !e.is_batch_only())
-        .map(TraceEvent::stable_json)
-        .collect()
+    events.iter().map(TraceEvent::stable_json).collect()
 }
 
 fn promotion_count(lines: &[String]) -> usize {
@@ -92,11 +74,11 @@ fn promotion_count(lines: &[String]) -> usize {
         .count()
 }
 
-/// With adaptation on, a stall-prone degraded case promotes — and the
-/// sequential and `threads = 4` batched streams stay byte-identical,
-/// promotion events and all post-promotion planning included.
+/// With adaptation on, a stall-prone degraded case promotes — and two
+/// runs over freshly prepared contexts stay byte-identical, promotion
+/// events and all post-promotion planning included.
 #[test]
-fn adaptive_streams_sequential_equals_batched() {
+fn adaptive_streams_are_reproducible() {
     let (scenario, oracle, degraded) = degraded_inputs("f18");
     let mut cfg = ExplorerConfig {
         max_rounds: 300,
@@ -105,22 +87,19 @@ fn adaptive_streams_sequential_equals_batched() {
     };
     cfg.adaptive.enabled = true;
 
-    let seq = stable_lines(&traced_run(&scenario, &oracle, &degraded, &cfg, None));
+    let first = stable_lines(&traced_run(&scenario, &oracle, &degraded, &cfg));
     assert!(
-        promotion_count(&seq) > 0,
+        promotion_count(&first) > 0,
         "f18-degraded: the adaptive run must actually promote"
     );
-    let bat = stable_lines(&traced_run(&scenario, &oracle, &degraded, &cfg, Some(4)));
+    let second = stable_lines(&traced_run(&scenario, &oracle, &degraded, &cfg));
     assert_eq!(
-        seq.len(),
-        bat.len(),
-        "f18-degraded: stream lengths differ (threads=4)"
+        first.len(),
+        second.len(),
+        "f18-degraded: stream lengths differ"
     );
-    for (i, (a, b)) in seq.iter().zip(&bat).enumerate() {
-        assert_eq!(
-            a, b,
-            "f18-degraded: stream diverges at event {i} (threads=4)"
-        );
+    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+        assert_eq!(a, b, "f18-degraded: stream diverges at event {i}");
     }
 }
 
@@ -135,7 +114,7 @@ fn adaptive_rescues_degraded_case() {
         ..ExplorerConfig::default()
     };
 
-    let fixed = traced_run(&scenario, &oracle, &degraded, &cfg, None);
+    let fixed = traced_run(&scenario, &oracle, &degraded, &cfg);
     let fixed_success = fixed
         .iter()
         .any(|e| matches!(e, TraceEvent::RoundEnd { oracle: true, .. }));
@@ -146,7 +125,7 @@ fn adaptive_rescues_degraded_case() {
 
     let mut adaptive_cfg = cfg;
     adaptive_cfg.adaptive.enabled = true;
-    let adaptive = traced_run(&scenario, &oracle, &degraded, &adaptive_cfg, None);
+    let adaptive = traced_run(&scenario, &oracle, &degraded, &adaptive_cfg);
     assert!(
         adaptive
             .iter()
@@ -193,8 +172,8 @@ fn adaptive_off_is_byte_identical() {
     tweaked.adaptive.per_stall = 7;
     tweaked.adaptive.focus_sites = 99;
 
-    let a = stable_lines(&traced_run(&scenario, &oracle, &degraded, &base, None));
-    let b = stable_lines(&traced_run(&scenario, &oracle, &degraded, &tweaked, None));
+    let a = stable_lines(&traced_run(&scenario, &oracle, &degraded, &base));
+    let b = stable_lines(&traced_run(&scenario, &oracle, &degraded, &tweaked));
     assert_eq!(
         a, b,
         "disabled adaptive knobs must not influence the stream"
