@@ -128,7 +128,12 @@ impl FailureCase {
 
     /// Renders the "production" failure log for this case.
     pub fn failure_log(&self) -> Result<String, CaseError> {
-        let gt = self.ground_truth()?;
+        self.failure_log_for(&self.ground_truth()?)
+    }
+
+    /// Renders the failure log for an already-resolved ground truth: one
+    /// run of its plan, without repeating the occurrence scan.
+    pub fn failure_log_for(&self, gt: &GroundTruth) -> Result<String, CaseError> {
         let r = self
             .scenario
             .run(

@@ -85,8 +85,3 @@ pub fn f22() -> FailureCase {
         }],
     }
 }
-
-/// All Cassandra cases.
-pub fn cases() -> Vec<FailureCase> {
-    vec![f21(), f22()]
-}

@@ -248,8 +248,3 @@ pub fn f17() -> FailureCase {
         deeper_causes: vec![],
     }
 }
-
-/// All HBase cases.
-pub fn cases() -> Vec<FailureCase> {
-    vec![f12(), f13(), f14(), f15(), f16(), f17()]
-}

@@ -319,8 +319,3 @@ pub fn f11() -> FailureCase {
         deeper_causes: vec![],
     }
 }
-
-/// All HDFS cases.
-pub fn cases() -> Vec<FailureCase> {
-    vec![f5(), f6(), f7(), f8(), f9(), f10(), f11()]
-}

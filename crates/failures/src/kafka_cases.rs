@@ -136,8 +136,3 @@ pub fn f20() -> FailureCase {
         deeper_causes: vec![],
     }
 }
-
-/// All Kafka cases.
-pub fn cases() -> Vec<FailureCase> {
-    vec![f18(), f19(), f20()]
-}

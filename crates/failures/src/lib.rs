@@ -17,51 +17,51 @@ pub mod zookeeper_cases;
 
 pub use case::{CaseError, DeeperCause, FailureCase, GroundTruth};
 
-/// Sort key giving a total, panic-free order over case ids: the paper's
-/// `fN` ids sort numerically first, anything else (e.g. a generated
-/// `gen-0042`) sorts lexicographically after them. The registry must
-/// never panic on an id shape — synthetic cases share this namespace.
-fn id_sort_key(id: &str) -> (u8, u32, String) {
-    match id.strip_prefix('f').and_then(|n| n.parse::<u32>().ok()) {
-        Some(n) => (0, n, String::new()),
-        None => (1, 0, id.to_string()),
-    }
-}
+use cassandra_cases as c;
+use hbase_cases as hb;
+use hdfs_cases as hd;
+use kafka_cases as ka;
+use zookeeper_cases as zk;
+
+/// One registry row: `(id, ticket, constructor)`.
+type Entry = (&'static str, &'static str, fn() -> FailureCase);
+
+/// The case registry, in paper order. Looking a case up builds only that
+/// case's target program.
+const REGISTRY: [Entry; 22] = [
+    ("f1", "ZK-2247", zk::f1),
+    ("f2", "ZK-3157", zk::f2),
+    ("f3", "ZK-4203", zk::f3),
+    ("f4", "ZK-3006", zk::f4),
+    ("f5", "HD-4233", hd::f5),
+    ("f6", "HD-12248", hd::f6),
+    ("f7", "HD-12070", hd::f7),
+    ("f8", "HD-13039", hd::f8),
+    ("f9", "HD-16332", hd::f9),
+    ("f10", "HD-14333", hd::f10),
+    ("f11", "HD-15032", hd::f11),
+    ("f12", "HB-18137", hb::f12),
+    ("f13", "HB-19608", hb::f13),
+    ("f14", "HB-19876", hb::f14),
+    ("f15", "HB-20583", hb::f15),
+    ("f16", "HB-16144", hb::f16),
+    ("f17", "HB-25905", hb::f17),
+    ("f18", "KA-12508", ka::f18),
+    ("f19", "KA-9374", ka::f19),
+    ("f20", "KA-10048", ka::f20),
+    ("f21", "C*-17663", c::f21),
+    ("f22", "C*-6415", c::f22),
+];
 
 /// Every implemented failure case, in paper order.
 pub fn all_cases() -> Vec<FailureCase> {
-    let mut v = Vec::new();
-    v.extend(zookeeper_cases::cases());
-    v.extend(hdfs_cases::cases());
-    v.extend(hbase_cases::cases());
-    v.extend(kafka_cases::cases());
-    v.extend(cassandra_cases::cases());
-    v.sort_by_key(|c| id_sort_key(c.id));
-    v
+    REGISTRY.iter().map(|(_, _, build)| build()).collect()
 }
 
 /// Looks up a case by its paper id (`"f17"`) or ticket (`"HB-25905"`).
 pub fn case_by_id(id: &str) -> Option<FailureCase> {
-    all_cases()
-        .into_iter()
-        .find(|c| c.id == id || c.ticket.eq_ignore_ascii_case(id))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::id_sort_key;
-
-    /// Paper ids order numerically (`f2` before `f10`), non-`fN` ids sort
-    /// lexicographically after every paper id, and no shape panics — the
-    /// old key `id[1..].parse().expect(..)` died on `gen-0042`, `f`, `""`,
-    /// and even `fx`.
-    #[test]
-    fn id_ordering_is_total_and_panic_free() {
-        let mut ids = vec!["gen-0042", "f10", "gen-0007", "f2", "fx", "", "f", "f1"];
-        ids.sort_by_key(|id| id_sort_key(id));
-        assert_eq!(
-            ids,
-            vec!["f1", "f2", "f10", "", "f", "fx", "gen-0007", "gen-0042"]
-        );
-    }
+    REGISTRY
+        .iter()
+        .find(|(case_id, ticket, _)| *case_id == id || ticket.eq_ignore_ascii_case(id))
+        .map(|(_, _, build)| build())
 }

@@ -138,8 +138,3 @@ pub fn f4() -> FailureCase {
         }],
     }
 }
-
-/// All ZooKeeper cases.
-pub fn cases() -> Vec<FailureCase> {
-    vec![f1(), f2(), f3(), f4()]
-}

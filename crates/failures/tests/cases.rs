@@ -14,12 +14,40 @@ fn lookup_by_id_and_ticket() {
     );
     assert!(case_by_id("f23").is_none());
     assert!(case_by_id("NOPE-1").is_none());
+
+    // The registry's id/ticket columns agree with the cases its
+    // constructors build, and the table is in paper order.
+    let cases = all_cases();
+    let ids: Vec<&str> = cases.iter().map(|c| c.id).collect();
+    let expected: Vec<String> = (1..=22).map(|n| format!("f{n}")).collect();
+    assert_eq!(ids, expected, "all_cases() is f1..f22 in paper order");
+    let mut tickets: Vec<&str> = cases.iter().map(|c| c.ticket).collect();
+    tickets.sort_unstable();
+    tickets.dedup();
+    assert_eq!(tickets.len(), cases.len(), "duplicate ticket");
+    for case in &cases {
+        for key in [case.id.to_string(), case.ticket.to_lowercase()] {
+            let found = case_by_id(&key).unwrap_or_else(|| panic!("`{key}` not found"));
+            assert_eq!(
+                (found.id, found.ticket),
+                (case.id, case.ticket),
+                "`{key}` resolves to the wrong case"
+            );
+        }
+    }
 }
 
 #[test]
 fn failure_logs_parse_and_differ_from_normal_runs() {
     for case in all_cases() {
         let failure_text = case.failure_log().expect("failure log renders");
+        let gt = case.ground_truth().expect("resolvable");
+        assert_eq!(
+            case.failure_log_for(&gt).expect("failure log renders"),
+            failure_text,
+            "{}: failure_log_for(ground_truth) differs from failure_log()",
+            case.id
+        );
         let parsed = parse_log(&failure_text);
         assert!(
             parsed.len() >= 10,

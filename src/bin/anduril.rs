@@ -961,14 +961,18 @@ fn main() {
                     _ => usage(),
                 }
             }
-            let cases: Vec<_> = all_cases()
-                .into_iter()
-                .filter(|c| {
-                    selector.eq_ignore_ascii_case("all")
-                        || c.id.eq_ignore_ascii_case(&selector)
-                        || c.system.eq_ignore_ascii_case(&selector)
-                })
-                .collect();
+            // A case id or ticket builds just that case; otherwise the
+            // selector names a system or `all`.
+            let cases: Vec<_> = match case_by_id(&selector.to_ascii_lowercase()) {
+                Some(case) => vec![case],
+                None => all_cases()
+                    .into_iter()
+                    .filter(|c| {
+                        selector.eq_ignore_ascii_case("all")
+                            || c.system.eq_ignore_ascii_case(&selector)
+                    })
+                    .collect(),
+            };
             if cases.is_empty() {
                 eprintln!("no case or system matches `{selector}`");
                 std::process::exit(2);
@@ -1126,7 +1130,7 @@ fn main() {
                 .ground_truth()
                 .unwrap_or_else(|e| fail(format!("{}: ground truth: {e}", case.id)));
             let failure_log = case
-                .failure_log()
+                .failure_log_for(&gt)
                 .unwrap_or_else(|e| fail(format!("{}: failure log: {e}", case.id)));
             let mut scenario = case.scenario.clone();
             if let Some(e) = engine {
