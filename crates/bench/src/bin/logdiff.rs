@@ -183,7 +183,7 @@ fn run_config(entries: usize, pct: usize, iters: usize) -> ConfigResult {
     // and group it once, outside the per-round timers.
     let failure_text = render_log(&failure);
     let failure_parsed = parse_log(&failure_text);
-    let failure_grouped = GroupedLog::new(&failure_parsed);
+    let failure_groups = GroupedLog::new(&failure_parsed);
     let interned = InternedLog::new(&failure_parsed);
 
     // A few pre-generated round variants, cycled through the iterations.
@@ -195,10 +195,10 @@ fn run_config(entries: usize, pct: usize, iters: usize) -> ConfigResult {
     for round in &rounds {
         let parsed = parse_log(&render_log(round));
         let fast = interned.compare(round);
-        let text = compare_with(&parsed, &failure_parsed, &failure_grouped);
+        let text = compare_with(&parsed, &failure_parsed, &failure_groups);
         assert_eq!(fast.missing, text.missing, "fast path diverged");
         assert_eq!(fast.matches, text.matches, "fast path diverged");
-        let old = baseline_compare(&parsed, &failure_parsed, &failure_grouped);
+        let old = baseline_compare(&parsed, &failure_parsed, &failure_groups);
         assert_eq!(fast.missing.len(), old.missing.len(), "LCS length drifted");
     }
 
@@ -213,7 +213,7 @@ fn run_config(entries: usize, pct: usize, iters: usize) -> ConfigResult {
         // so its render + parse round trip is part of the per-round cost.
         let t = Instant::now();
         let parsed = parse_log(&render_log(round));
-        let d = baseline_compare(&parsed, &failure_parsed, &failure_grouped);
+        let d = baseline_compare(&parsed, &failure_parsed, &failure_groups);
         baseline_ns.push(t.elapsed().as_nanos() as u64);
         std::hint::black_box(d);
 

@@ -34,12 +34,13 @@
 //!   strictly closer than any existing observable.
 //!
 //! Either way a promotion is a handful of incremental appends (see
-//! DESIGN.md §15): one BFS for the new distance table, one intern-table
-//! append for the witness `(level, body)` key
+//! DESIGN.md §15): one BFS for the new distance table, one witness row
+//! appended to the context's observable table
 //! ([`SearchContext::promote_observable`]), an optional fault-unit append
 //! (coverage only), and one neutral extension of the strategy's `I_k`
 //! vector ([`Strategy::observables_appended`]). No phase of
-//! [`SearchContext::prepare`] reruns.
+//! [`SearchContext::prepare`] reruns, and the next exploration on the same
+//! context starts from the prepared table again.
 //!
 //! Determinism: promotion runs at one program point, the explorer's
 //! note-drain between rounds, whether or not tracing is on, and every
@@ -122,8 +123,9 @@ impl AdaptiveState {
 
         // Existing observable templates (prepared and already promoted)
         // are never promoted again.
-        let mut exclude: HashSet<TemplateId> = ctx.observables.iter().map(|o| o.template).collect();
-        exclude.extend(ctx.promoted().observables().iter().map(|o| o.template));
+        let mut exclude: HashSet<TemplateId> = (0..ctx.observable_count())
+            .filter_map(|k| ctx.observable(k).map(|o| o.template))
+            .collect();
         // Templates the fault-free run already emits make weak witnesses
         // (they fire every round); they are last-resort fallbacks only.
         let common: HashSet<TemplateId> = ctx.normal.log.iter().map(|e| e.template).collect();
@@ -171,8 +173,7 @@ impl AdaptiveState {
         events: &mut Vec<TraceEvent>,
     ) {
         let program = &ctx.scenario.program;
-        let mut unit_sites: HashSet<SiteId> = ctx.units.iter().map(|u| u.site).collect();
-        unit_sites.extend(ctx.promoted().units().iter().map(|u| u.site));
+        let mut unit_sites: HashSet<SiteId> = ctx.all_units().iter().map(|u| u.site).collect();
 
         let uncovered: Vec<SiteId> = ctx
             .candidate_sites
@@ -228,15 +229,14 @@ impl AdaptiveState {
                 unit_sites.insert(u.site);
             }
             let node = g.sinks[0].first().copied().unwrap_or(0);
-            let text = program.templates[template.index()].text.clone();
             exclude.insert(template);
-            let k = ctx.promote_observable(template, level, text.clone(), distances, new_units);
+            let k = ctx.promote_observable(template, level, distances, new_units);
             strategy.observables_appended(ctx, ctx.observable_count());
             self.promotions += 1;
             events.push(TraceEvent::ObservablePromoted {
                 round,
                 k,
-                template: text,
+                template: program.templates[template.index()].text.clone(),
                 site,
                 node,
                 node_desc: witness_desc,
@@ -304,20 +304,13 @@ impl AdaptiveState {
             if l_new >= l_old {
                 continue;
             }
-            let text = program.templates[cand.template.index()].text.clone();
-            let k = ctx.promote_observable(
-                cand.template,
-                cand.level,
-                text.clone(),
-                distances,
-                Vec::new(),
-            );
+            let k = ctx.promote_observable(cand.template, cand.level, distances, Vec::new());
             strategy.observables_appended(ctx, ctx.observable_count());
             self.promotions += 1;
             events.push(TraceEvent::ObservablePromoted {
                 round,
                 k,
-                template: text,
+                template: program.templates[cand.template.index()].text.clone(),
                 site: cand.site,
                 node: cand.node,
                 node_desc: node_desc(program, cand.node_key),

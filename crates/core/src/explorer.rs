@@ -127,8 +127,6 @@ impl ReproScript {
 pub struct RoundRecord {
     /// Round number (0-based).
     pub round: usize,
-    /// Window size used this round.
-    pub window: usize,
     /// Candidates armed.
     pub armed: usize,
     /// What was injected, if anything.
@@ -305,7 +303,6 @@ impl<'a> ExploreState<'a> {
         let k_star = explained.as_ref().map(|e| e.k_star);
         self.per_round.push(RoundRecord {
             round,
-            window: armed,
             armed,
             injected,
             k_star,
@@ -371,8 +368,12 @@ impl<'a> ExploreState<'a> {
                         occurrence,
                         exc,
                         observable: ctx
-                            .observable_template(e.k_star)
-                            .map(|t| ctx.scenario.program.templates[t.index()].text.clone())
+                            .observable(e.k_star)
+                            .map(|o| {
+                                ctx.scenario.program.templates[o.template.index()]
+                                    .text
+                                    .clone()
+                            })
                             .unwrap_or_default(),
                         k_star: e.k_star,
                         l: e.l,
@@ -484,6 +485,8 @@ pub fn explore_traced(
     tracer: &dyn Tracer,
 ) -> Result<Reproduction, SimError> {
     let mut state = ExploreState::new(ctx, oracle, cfg, tracer);
+    // Rows an earlier search appended must not steer this one.
+    ctx.reset_appended();
     strategy.init(ctx);
     if tracer.enabled() {
         tracer.record(TraceEvent::ExploreStart {
@@ -526,19 +529,9 @@ pub fn explore_traced(
 }
 
 /// One-call ANDURIL: prepare the context and reproduce with the full
-/// feedback strategy.
+/// feedback strategy. `tracer` receives both context preparation and the
+/// exploration loop (pass [`NoopTracer`] for none).
 pub fn reproduce(
-    scenario: Scenario,
-    failure_log_text: &str,
-    oracle: &Oracle,
-    cfg: &ExplorerConfig,
-) -> Result<(Reproduction, SearchContext), SimError> {
-    reproduce_traced(scenario, failure_log_text, oracle, cfg, &NoopTracer)
-}
-
-/// [`reproduce`] with a trace sink covering both context preparation and
-/// the exploration loop — the one-call way to produce a full search trace.
-pub fn reproduce_traced(
     scenario: Scenario,
     failure_log_text: &str,
     oracle: &Oracle,

@@ -34,12 +34,9 @@ pub mod trace;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveState};
 pub use anduril_causal::{Interval, OccurrenceBounds, PromotionCandidate, RootCall};
-pub use context::{
-    FaultUnit, ObservableInfo, PromotedObservable, PromotedSet, RoundOutcome, SearchContext,
-};
+pub use context::{FaultUnit, ObservableInfo, RoundOutcome, SearchContext};
 pub use explorer::{
-    explore, explore_traced, reproduce, reproduce_traced, ExplorerConfig, ReproScript,
-    Reproduction, RoundRecord,
+    explore, explore_traced, reproduce, ExplorerConfig, ReproScript, Reproduction, RoundRecord,
 };
 pub use feedback::{Aggregate, Combine, Explanation, FeedbackConfig, FeedbackStrategy};
 pub use oracle::Oracle;

@@ -1,8 +1,8 @@
 //! End-to-end Explorer tests on a miniature WAL scenario.
 
 use anduril_core::{
-    explore, reproduce, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle, Scenario,
-    SearchContext,
+    explore, reproduce, ExplorerConfig, FeedbackConfig, FeedbackStrategy, NoopTracer, Oracle,
+    Scenario, SearchContext,
 };
 use anduril_ir::builder::ProgramBuilder;
 use anduril_ir::expr::build as e;
@@ -159,7 +159,7 @@ fn full_feedback_reproduces_with_exact_timing() {
     let failure = failure_log(&scenario, site);
     let oracle = timing_oracle();
     let cfg = ExplorerConfig::default();
-    let (repro, _ctx) = reproduce(scenario, &failure, &oracle, &cfg).unwrap();
+    let (repro, _ctx) = reproduce(scenario, &failure, &oracle, &cfg, &NoopTracer).unwrap();
     assert!(repro.success, "rounds = {}", repro.rounds);
     let script = repro.script.expect("script on success");
     assert_eq!(script.site, site);
@@ -210,7 +210,7 @@ fn impossible_oracle_exhausts_and_reports_failure() {
         max_rounds: 15,
         ..ExplorerConfig::default()
     };
-    let (repro, _) = reproduce(scenario, &failure, &oracle, &cfg).unwrap();
+    let (repro, _) = reproduce(scenario, &failure, &oracle, &cfg, &NoopTracer).unwrap();
     assert!(!repro.success);
     assert!(repro.script.is_none());
     assert!(repro.rounds <= 15);

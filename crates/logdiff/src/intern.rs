@@ -127,21 +127,6 @@ impl InternTable {
     pub fn is_empty(&self) -> bool {
         self.next == 0
     }
-
-    /// Interns a `(level, body)` key after the construction-time freeze,
-    /// returning its token (the existing token if the key was already
-    /// seen).
-    ///
-    /// This is the append half of the incremental re-preparation story:
-    /// observables promoted mid-search need their witness keys tokenized
-    /// so presence checks stay O(1) hash probes, but the frozen failure
-    /// table is read through a shared reference. Callers therefore append
-    /// to a private copy (or a fresh table) rather than the one owned by
-    /// an [`InternedLog`]; appended tokens never occur in any frozen
-    /// failure group, so diffs are unaffected either way.
-    pub fn append(&mut self, level: Level, body: &str) -> u32 {
-        self.intern(level, body)
-    }
 }
 
 /// A failure log fully interned and grouped by `(node, thread)`, ready to
@@ -343,40 +328,6 @@ mod tests {
         assert_eq!(via_structured.missing, via_parsed.missing);
         assert_eq!(via_structured.matches, via_parsed.matches);
         assert_eq!(via_structured.missing, vec![1]);
-    }
-
-    #[test]
-    fn append_extends_a_copied_table_without_disturbing_diffs() {
-        let failure = vec![
-            entry("n", "main", 1, Level::Info, "started"),
-            entry("n", "main", 2, Level::Error, "sync failed"),
-        ];
-        let run = vec![
-            entry("n", "main", 1, Level::Info, "started"),
-            entry("n", "main", 2, Level::Warn, "wal rotated"),
-        ];
-        let interned = InternedLog::new(&failure);
-        let before = interned.compare(&run);
-
-        // Append to a private copy: existing keys keep their tokens, new
-        // keys get fresh ones, and idempotently so.
-        let mut table = interned.table().clone();
-        let started = table.append(Level::Info, "started");
-        assert_eq!(started, interned.table().lookup(Level::Info, "started"));
-        let rotated = table.append(Level::Warn, "wal rotated");
-        assert_ne!(rotated, NO_MATCH_TOKEN);
-        assert_eq!(table.append(Level::Warn, "wal rotated"), rotated);
-        assert_eq!(table.lookup(Level::Warn, "wal rotated"), rotated);
-        assert_eq!(table.len(), interned.table().len() + 1);
-
-        // The frozen table and its diffs are untouched.
-        assert_eq!(
-            interned.table().lookup(Level::Warn, "wal rotated"),
-            NO_MATCH_TOKEN
-        );
-        let after = interned.compare(&run);
-        assert_eq!(before.missing, after.missing);
-        assert_eq!(before.matches, after.matches);
     }
 
     #[test]

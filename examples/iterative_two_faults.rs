@@ -10,7 +10,7 @@ use anduril::ir::builder::ProgramBuilder;
 use anduril::ir::expr::build as e;
 use anduril::ir::{ExceptionType, Level, Program, Value};
 use anduril::sim::{InjectionPlan, NodeSpec, SimConfig, Topology};
-use anduril::{reproduce, ExplorerConfig, Oracle, Scenario};
+use anduril::{reproduce, ExplorerConfig, NoopTracer, Oracle, Scenario};
 
 /// A service where corruption needs *two* faults: first the cache-sync
 /// fault leaves the cache stale (handled, logged, survivable); then a
@@ -141,7 +141,7 @@ fn main() {
         max_rounds: 120,
         ..ExplorerConfig::default()
     };
-    let (pass1, _) = reproduce(scenario(false), &failure_log, &oracle, &cfg).unwrap();
+    let (pass1, _) = reproduce(scenario(false), &failure_log, &oracle, &cfg, &NoopTracer).unwrap();
     println!(
         "  reproduced: {} after {} rounds (expected: false)",
         pass1.success, pass1.rounds
@@ -153,7 +153,7 @@ fn main() {
     // *second* fault (the cache sync) must precede it. Following §3, they
     // fix fault A into the workload and rerun:
     println!("\npass 2: workload updated to enforce the first fault (stale cache)");
-    let (pass2, _) = reproduce(scenario(true), &failure_log, &oracle, &cfg).unwrap();
+    let (pass2, _) = reproduce(scenario(true), &failure_log, &oracle, &cfg, &NoopTracer).unwrap();
     println!("  reproduced: {} in {} rounds", pass2.success, pass2.rounds);
     let script = pass2.script.expect("script");
     println!(

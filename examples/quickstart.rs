@@ -7,7 +7,7 @@ use anduril::ir::builder::ProgramBuilder;
 use anduril::ir::expr::build as e;
 use anduril::ir::{ExceptionType, Level, Value};
 use anduril::sim::{InjectionPlan, NodeSpec, SimConfig, Topology};
-use anduril::{reproduce, ExplorerConfig, Oracle, Scenario};
+use anduril::{reproduce, ExplorerConfig, NoopTracer, Oracle, Scenario};
 
 fn main() {
     // 1. A miniature service: a server appends client records to external
@@ -92,8 +92,14 @@ fn main() {
 
     // 3. Hand ANDURIL the scenario, the failure log, and the oracle; it
     //    searches the fault space for the root cause and timing.
-    let (repro, ctx) = reproduce(scenario, &failure_log, &oracle, &ExplorerConfig::default())
-        .expect("exploration runs");
+    let (repro, ctx) = reproduce(
+        scenario,
+        &failure_log,
+        &oracle,
+        &ExplorerConfig::default(),
+        &NoopTracer,
+    )
+    .expect("exploration runs");
 
     println!("--- reproduction ---");
     println!("relevant observables : {}", ctx.observables.len());

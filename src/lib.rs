@@ -24,7 +24,7 @@
 //! # Examples
 //!
 //! ```no_run
-//! use anduril::{reproduce, ExplorerConfig};
+//! use anduril::{reproduce, ExplorerConfig, NoopTracer};
 //! use anduril::failures::case_by_id;
 //!
 //! let case = case_by_id("f17").expect("motivating example");
@@ -34,6 +34,7 @@
 //!     &failure_log,
 //!     &case.oracle,
 //!     &ExplorerConfig::default(),
+//!     &NoopTracer,
 //! )
 //! .expect("exploration runs");
 //! assert!(repro.success);
@@ -41,11 +42,10 @@
 //! ```
 
 pub use anduril_core::{
-    explore, explore_traced, reproduce, reproduce_traced, AdaptiveConfig, AdaptiveState, Combine,
-    Explanation, ExplorerConfig, FaultUnit, FeedbackConfig, FeedbackStrategy, FileTracer, Json,
-    NoopTracer, ObservableInfo, Oracle, PlanProvenance, PromotedObservable, PromotedSet,
-    ReproScript, Reproduction, RoundOutcome, RoundRecord, Scenario, SearchContext, Strategy,
-    StrategyNote, TraceEvent, Tracer, VecTracer,
+    explore, explore_traced, reproduce, AdaptiveConfig, AdaptiveState, Combine, Explanation,
+    ExplorerConfig, FaultUnit, FeedbackConfig, FeedbackStrategy, FileTracer, Json, NoopTracer,
+    ObservableInfo, Oracle, PlanProvenance, ReproScript, Reproduction, RoundOutcome, RoundRecord,
+    Scenario, SearchContext, Strategy, StrategyNote, TraceEvent, Tracer, VecTracer,
 };
 
 /// The structured search-trace layer (re-export of `anduril-core::trace`).

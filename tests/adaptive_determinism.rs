@@ -3,53 +3,24 @@
 //! promotions included — and with adaptation off (the default) the stream
 //! is byte-identical to a run that has no adaptive layer in play at all.
 //!
+//! A search also starts from the prepared observable table, so several
+//! searches can share one context.
+//!
 //! The stall-prone context is manufactured the same way the
 //! `anduril-bench` adaptive ablation does: strip the nearest (strongest
 //! guidance) observable's entries from the failure log before
 //! preparation, simulating log rotation/rate limiting around the failure.
 
-use anduril::failures::case_by_id;
+mod common;
+
 use anduril::trace::{TraceEvent, VecTracer};
 use anduril::{
     explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Oracle, Scenario,
     SearchContext,
 };
+use common::degraded_inputs;
 
-/// The degraded failure log of a case: every entry (line plus
-/// continuation lines) of the prepared context's nearest observable
-/// stripped.
-fn degraded_inputs(id: &str) -> (Scenario, Oracle, String) {
-    let case = case_by_id(id).expect("case");
-    let failure_log = case.failure_log().expect("failure log");
-    let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
-    let nearest = (0..ctx.observables.len())
-        .filter_map(|k| ctx.distances[k].values().min().map(|&d| (d, k)))
-        .min()
-        .map(|(_, k)| k)
-        .expect("at least one observable");
-    let template = &ctx.scenario.program.templates[ctx.observables[nearest].template.index()];
-    let mut degraded = String::new();
-    let mut drop = false;
-    for line in failure_log.lines() {
-        let is_entry = line.len() > 9
-            && line.as_bytes()[..8].iter().all(u8::is_ascii_digit)
-            && line.as_bytes()[8] == b' ';
-        if is_entry {
-            drop = line
-                .split_once(" - ")
-                .map(|(_, body)| template.matches(body))
-                .unwrap_or(false);
-        }
-        if !drop {
-            degraded.push_str(line);
-            degraded.push('\n');
-        }
-    }
-    (case.scenario.clone(), case.oracle.clone(), degraded)
-}
-
-/// One traced exploration over a freshly prepared context (promotions
-/// mutate the context, so sharing one across runs would leak state).
+/// One traced exploration over a freshly prepared context.
 fn traced_run(
     scenario: &Scenario,
     oracle: &Oracle,
@@ -57,9 +28,14 @@ fn traced_run(
     cfg: &ExplorerConfig,
 ) -> Vec<TraceEvent> {
     let ctx = SearchContext::prepare(scenario.clone(), log, 1_000).expect("context");
+    traced_run_on(&ctx, oracle, cfg)
+}
+
+/// One traced exploration over `ctx`.
+fn traced_run_on(ctx: &SearchContext, oracle: &Oracle, cfg: &ExplorerConfig) -> Vec<TraceEvent> {
     let tracer = VecTracer::new();
     let mut s = FeedbackStrategy::new(FeedbackConfig::full());
-    explore_traced(&ctx, oracle, &mut s, cfg, None, &tracer).expect("explore");
+    explore_traced(ctx, oracle, &mut s, cfg, None, &tracer).expect("explore");
     tracer.take()
 }
 
@@ -179,4 +155,38 @@ fn adaptive_off_is_byte_identical() {
         "disabled adaptive knobs must not influence the stream"
     );
     assert_eq!(promotion_count(&a), 0, "no promotions with adaptation off");
+}
+
+/// Promotions belong to the search that made them: on a context an
+/// adaptive search has already grown, a fixed search emits exactly the
+/// stream it emits on a freshly prepared context.
+#[test]
+fn a_search_on_a_shared_context_starts_from_the_prepared_table() {
+    for id in ["f5", "f11", "f18", "f22"] {
+        let (scenario, oracle, degraded) = degraded_inputs(id);
+        let fixed = ExplorerConfig {
+            max_rounds: 300,
+            verify_replay: false,
+            ..ExplorerConfig::default()
+        };
+        let mut adaptive = fixed.clone();
+        adaptive.adaptive.enabled = true;
+
+        let fresh = stable_lines(&traced_run(&scenario, &oracle, &degraded, &fixed));
+        let ctx = SearchContext::prepare(scenario, &degraded, 1_000).expect("context");
+        let grown = stable_lines(&traced_run_on(&ctx, &oracle, &adaptive));
+        assert!(
+            promotion_count(&grown) > 0,
+            "{id}-degraded: the adaptive run must promote"
+        );
+        let shared = stable_lines(&traced_run_on(&ctx, &oracle, &fixed));
+        let first_difference = shared.iter().zip(&fresh).position(|(a, b)| a != b);
+        assert!(
+            shared.len() == fresh.len() && first_difference.is_none(),
+            "{id}-degraded: a fixed search after an adaptive one on the same context \
+             diverges ({} vs {} events, first difference at {first_difference:?})",
+            shared.len(),
+            fresh.len(),
+        );
+    }
 }
