@@ -17,71 +17,12 @@
 //! runs a reduced round budget for CI; `--out PATH` overrides the output
 //! path.
 
-use std::fmt::Write as _;
-
-use anduril_bench::{prepare, TextTable};
-use anduril_core::trace::{StrategyNote, TraceEvent, VecTracer};
+use anduril_bench::{prepare, strip_nearest_observable, write_report, TextTable};
+use anduril_core::trace::{Json, StrategyNote, TraceEvent, VecTracer};
 use anduril_core::{
     explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, Reproduction, SearchContext,
 };
 use anduril_failures::all_cases;
-
-/// One failure-log entry as raw text: the `NNNNNNNN [node:thread] LEVEL -
-/// body` line plus its continuation lines (exception name, `at` frames).
-struct RawEntry {
-    lines: Vec<String>,
-    body: Option<String>,
-}
-
-/// Groups a rendered log into raw entries, preserving text verbatim.
-fn group_entries(text: &str) -> Vec<RawEntry> {
-    let mut out: Vec<RawEntry> = Vec::new();
-    for line in text.lines() {
-        let is_entry = line.len() > 9
-            && line.as_bytes()[..8].iter().all(u8::is_ascii_digit)
-            && line.as_bytes()[8] == b' ';
-        if is_entry || out.is_empty() {
-            let body = line.split_once(" - ").map(|(_, b)| b.to_string());
-            out.push(RawEntry {
-                lines: vec![line.to_string()],
-                body,
-            });
-        } else {
-            out.last_mut().unwrap().lines.push(line.to_string());
-        }
-    }
-    out
-}
-
-/// Drops every entry of `text` whose body matches the template, returning
-/// the degraded log.
-fn strip_template(text: &str, template: &anduril_ir::LogTemplate) -> String {
-    let mut out = String::new();
-    for e in group_entries(text) {
-        let hit = e
-            .body
-            .as_deref()
-            .map(|b| template.matches(b))
-            .unwrap_or(false);
-        if !hit {
-            for l in &e.lines {
-                out.push_str(l);
-                out.push('\n');
-            }
-        }
-    }
-    out
-}
-
-/// The prepared observable whose minimum graph distance over candidate
-/// sites is smallest — the strongest guidance signal, and the one the
-/// degradation removes.
-fn nearest_observable(ctx: &SearchContext) -> Option<usize> {
-    (0..ctx.observables.len())
-        .filter_map(|k| ctx.distances[k].values().min().map(|&d| (d, k)))
-        .min()
-        .map(|(_, k)| k)
-}
 
 struct CaseRun {
     rounds: usize,
@@ -171,17 +112,17 @@ fn main() {
         // Strip the nearest observable's lines when another observable
         // remains to guide the search; single-observable cases keep their
         // log intact (the scenario needs *some* failure-only signal).
-        let (ctx, degraded, obs_degraded) = match nearest_observable(&full.ctx) {
-            Some(k) if obs_full > 1 => {
-                let program = &full.ctx.scenario.program;
-                let template = &program.templates[full.ctx.observables[k].template.index()];
-                let degraded_log = strip_template(&full.failure_log, template);
-                let ctx = SearchContext::prepare(full.case.scenario.clone(), &degraded_log, 1_000)
+        let degraded_log = (obs_full > 1)
+            .then(|| strip_nearest_observable(&full.ctx, &full.failure_log))
+            .flatten();
+        let (ctx, degraded, obs_degraded) = match degraded_log {
+            Some(log) => {
+                let ctx = SearchContext::prepare(full.case.scenario.clone(), &log, 1_000)
                     .unwrap_or_else(|e| panic!("{id}: degraded context: {e}"));
                 let n = ctx.observables.len();
                 (ctx, true, n)
             }
-            _ => (full.ctx, false, obs_full),
+            None => (full.ctx, false, obs_full),
         };
 
         let mut cfg = ExplorerConfig {
@@ -240,44 +181,36 @@ fn main() {
          regressed >1.05x on {regressions}"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"max_rounds\": {max_rounds},");
-    json.push_str("  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"id\": \"{}\", \"degraded\": {}, \"observables_full\": {}, \
-             \"observables_degraded\": {}, \"stalled\": {}, \"fixed_rounds\": {}, \
-             \"fixed_success\": {}, \"fixed_stalls\": {}, \"adaptive_rounds\": {}, \
-             \"adaptive_success\": {}, \"promotions\": {}, \"ratio\": {:.4}}}",
-            r.id,
-            r.degraded,
-            r.obs_full,
-            r.obs_degraded,
-            r.stalled(),
-            r.fixed.rounds,
-            r.fixed.success,
-            r.fixed.stalls,
-            r.adaptive.rounds,
-            r.adaptive.success,
-            r.adaptive.promotions,
-            r.ratio(),
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"summary\": {{\"stalled_cases\": {stalled}, \"improved_stall_cases\": {improved}, \
-         \"regressions_above_1_05x\": {regressions}, \"meets_improvement_bar\": {}}}",
-        improved >= 2
-    );
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    let cases = rows.iter().map(|r| {
+        Json::obj([
+            ("id", r.id.into()),
+            ("degraded", r.degraded.into()),
+            ("observables_full", r.obs_full.into()),
+            ("observables_degraded", r.obs_degraded.into()),
+            ("stalled", r.stalled().into()),
+            ("fixed_rounds", r.fixed.rounds.into()),
+            ("fixed_success", r.fixed.success.into()),
+            ("fixed_stalls", r.fixed.stalls.into()),
+            ("adaptive_rounds", r.adaptive.rounds.into()),
+            ("adaptive_success", r.adaptive.success.into()),
+            ("promotions", r.adaptive.promotions.into()),
+            ("ratio", Json::rounded(r.ratio(), 4)),
+        ])
+    });
+    let report = Json::obj([
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("max_rounds", max_rounds.into()),
+        ("cases", cases.collect()),
+        (
+            "summary",
+            Json::obj([
+                ("stalled_cases", stalled.into()),
+                ("improved_stall_cases", improved.into()),
+                ("regressions_above_1_05x", regressions.into()),
+                ("meets_improvement_bar", (improved >= 2).into()),
+            ]),
+        ),
+    ]);
+    write_report(&out_path, &report);
     println!("JSON written to {out_path}");
 }

@@ -1,24 +1,20 @@
-//! Diff-layer microbench: the superseded string-keyed text pipeline
-//! (render round log → `parse_log` → per-thread diff over `(level, body)`
-//! string keys with the trace-saving quadratic Myers) against the interned
-//! structured fast path (`InternedLog::compare` over `u32` tokens, no text
-//! round trip), across log sizes and divergence levels.
+//! Diff-layer microbench: the string-keyed text pipeline (render round log
+//! → `parse_log` → per-thread `compare_with` over `(level, body)` string
+//! keys, the reference the equivalence tests check against) against the
+//! interned structured fast path (`InternedLog::compare` over `u32`
+//! tokens, no text round trip), across log sizes and divergence levels.
 //!
 //! Emits `BENCH_logdiff.json` (round-diff latency, tokens/sec, peak-RSS
 //! proxy, speedups) and prints a summary table. `--smoke` runs a reduced
 //! matrix for CI; `--out PATH` overrides the output path.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use anduril_bench::{median, TextTable};
+use anduril_bench::{median, write_report, TextTable};
+use anduril_core::trace::Json;
 use anduril_ir::log::render_log;
 use anduril_ir::{BlockId, Level, LogEntry, StmtRef, TemplateId};
-use anduril_logdiff::{
-    compare_with, myers_matches_quadratic, parse_log, DiffResult, GroupedLog, InternedLog,
-    ParsedEntry,
-};
+use anduril_logdiff::{compare_with, parse_log, GroupedLog, InternedLog};
 
 /// Deterministic SplitMix64 generator (no wall-clock seeding).
 struct Rng(u64);
@@ -99,53 +95,6 @@ fn gen_round(rng: &mut Rng, failure: &[LogEntry], pct: usize) -> Vec<LogEntry> {
     out
 }
 
-/// The superseded per-round pipeline, reproduced faithfully: group the
-/// parsed run side by `(node, thread)` and diff `(level, body)` string
-/// keys per group with the trace-saving quadratic Myers.
-fn baseline_compare(
-    run: &[ParsedEntry],
-    failure: &[ParsedEntry],
-    failure_groups: &GroupedLog,
-) -> DiffResult {
-    let mut run_groups: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-    for (i, e) in run.iter().enumerate() {
-        run_groups
-            .entry((e.node.as_str(), e.thread.as_str()))
-            .or_default()
-            .push(i);
-    }
-    let mut result = DiffResult::default();
-    for (key, f_indices) in failure_groups.iter() {
-        match run_groups.get(&key) {
-            None => result.missing.extend(f_indices.iter().copied()),
-            Some(r_indices) => {
-                let r_keys: Vec<(Level, &str)> = r_indices
-                    .iter()
-                    .map(|&i| (run[i].level, run[i].body.as_str()))
-                    .collect();
-                let f_keys: Vec<(Level, &str)> = f_indices
-                    .iter()
-                    .map(|&i| (failure[i].level, failure[i].body.as_str()))
-                    .collect();
-                let matches = myers_matches_quadratic(&r_keys, &f_keys);
-                let matched_f: std::collections::HashSet<usize> =
-                    matches.iter().map(|&(_, j)| j).collect();
-                for (j, &fi) in f_indices.iter().enumerate() {
-                    if !matched_f.contains(&j) {
-                        result.missing.push(fi);
-                    }
-                }
-                for (ri, fj) in matches {
-                    result.matches.push((r_indices[ri], f_indices[fj]));
-                }
-            }
-        }
-    }
-    result.missing.sort_unstable();
-    result.matches.sort_unstable();
-    result
-}
-
 /// `VmHWM` from `/proc/self/status` in kB — the peak-RSS proxy (0 when
 /// unavailable, e.g. off Linux).
 fn vm_hwm_kb() -> u64 {
@@ -190,16 +139,13 @@ fn run_config(entries: usize, pct: usize, iters: usize) -> ConfigResult {
     let rounds: Vec<Vec<LogEntry>> = (0..8).map(|_| gen_round(&mut rng, &failure, pct)).collect();
 
     // Cross-check once, untimed: the fast path must agree exactly with the
-    // string-keyed path on the same (new) Myers, and agree on the missing
-    // *count* with the quadratic oracle (LCS tie-breaking may differ).
+    // string-keyed path.
     for round in &rounds {
         let parsed = parse_log(&render_log(round));
         let fast = interned.compare(round);
         let text = compare_with(&parsed, &failure_parsed, &failure_groups);
         assert_eq!(fast.missing, text.missing, "fast path diverged");
         assert_eq!(fast.matches, text.matches, "fast path diverged");
-        let old = baseline_compare(&parsed, &failure_parsed, &failure_groups);
-        assert_eq!(fast.missing.len(), old.missing.len(), "LCS length drifted");
     }
 
     let mut baseline_ns: Vec<u64> = Vec::with_capacity(iters);
@@ -209,11 +155,11 @@ fn run_config(entries: usize, pct: usize, iters: usize) -> ConfigResult {
         let round = &rounds[i % rounds.len()];
         tokens += (round.len() + failure_parsed.len()) as u64;
 
-        // Old pipeline: the round log exists only as structured entries,
+        // Text pipeline: the round log exists only as structured entries,
         // so its render + parse round trip is part of the per-round cost.
         let t = Instant::now();
         let parsed = parse_log(&render_log(round));
-        let d = baseline_compare(&parsed, &failure_parsed, &failure_groups);
+        let d = compare_with(&parsed, &failure_parsed, &failure_groups);
         baseline_ns.push(t.elapsed().as_nanos() as u64);
         std::hint::black_box(d);
 
@@ -290,48 +236,26 @@ fn main() {
         }
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"logdiff\",");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"vm_hwm_kb_end\": {},", vm_hwm_kb());
-    let _ = writeln!(json, "  \"configs\": [");
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"entries\": {},", r.entries);
-        let _ = writeln!(json, "      \"divergence_pct\": {},", r.divergence_pct);
-        let _ = writeln!(json, "      \"iters\": {},", r.iters);
-        let _ = writeln!(
-            json,
-            "      \"baseline_ns_median\": {},",
-            r.baseline_ns_median
-        );
-        let _ = writeln!(json, "      \"fast_ns_median\": {},", r.fast_ns_median);
-        let _ = writeln!(
-            json,
-            "      \"baseline_tokens_per_sec\": {},",
-            r.baseline_tokens_per_sec
-        );
-        let _ = writeln!(
-            json,
-            "      \"fast_tokens_per_sec\": {},",
-            r.fast_tokens_per_sec
-        );
-        let _ = writeln!(json, "      \"speedup\": {:.3},", r.speedup);
-        let _ = writeln!(json, "      \"vm_hwm_kb\": {}", r.vm_hwm_kb);
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < results.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).expect("write bench output");
+    let configs = results.iter().map(|r| {
+        Json::obj([
+            ("entries", r.entries.into()),
+            ("divergence_pct", r.divergence_pct.into()),
+            ("iters", r.iters.into()),
+            ("baseline_ns_median", r.baseline_ns_median.into()),
+            ("fast_ns_median", r.fast_ns_median.into()),
+            ("baseline_tokens_per_sec", r.baseline_tokens_per_sec.into()),
+            ("fast_tokens_per_sec", r.fast_tokens_per_sec.into()),
+            ("speedup", Json::rounded(r.speedup, 3)),
+            ("vm_hwm_kb", r.vm_hwm_kb.into()),
+        ])
+    });
+    let report = Json::obj([
+        ("bench", "logdiff".into()),
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("vm_hwm_kb_end", vm_hwm_kb().into()),
+        ("configs", configs.collect()),
+    ]);
+    write_report(&out_path, &report);
 
     println!("{}", table.render());
     let high = results

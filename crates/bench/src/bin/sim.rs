@@ -12,10 +12,10 @@
 //! summary table. `--smoke` runs a reduced matrix; `--out PATH` overrides
 //! the output path.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use anduril_bench::{median, TextTable};
+use anduril_bench::{median, write_report, TextTable};
+use anduril_core::trace::Json;
 use anduril_failures::all_cases;
 use anduril_ir::lower::compile;
 use anduril_sim::{run_compiled, Engine, InjectionPlan, SimConfig};
@@ -52,7 +52,7 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("BENCH_sim.json")
         .to_string();
-    let rounds_per_engine = if smoke { 40 } else { 400 };
+    let rounds_per_engine: usize = if smoke { 40 } else { 400 };
 
     let mut results = Vec::new();
     let mut table = TextTable::new(&[
@@ -171,49 +171,31 @@ fn main() {
     let slower = results.iter().filter(|r| r.speedup < 1.0).count();
     let at_2x = results.iter().filter(|r| r.speedup >= 2.0).count();
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"sim\",");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"rounds_per_engine\": {rounds_per_engine},");
-    let _ = writeln!(json, "  \"cases\": {},", results.len());
-    let _ = writeln!(json, "  \"cases_at_2x_or_better\": {at_2x},");
-    let _ = writeln!(json, "  \"vm_slower_than_ast_cases\": {slower},");
-    let _ = writeln!(json, "  \"per_case\": [");
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"case\": \"{}\",", r.id);
-        let _ = writeln!(json, "      \"rounds\": {},", r.rounds);
-        let _ = writeln!(json, "      \"steps_per_round\": {},", r.steps_per_round);
-        let _ = writeln!(json, "      \"compile_ns\": {},", r.compile_ns);
-        let _ = writeln!(json, "      \"vm_ns_median\": {},", r.vm_ns_median);
-        let _ = writeln!(json, "      \"ast_ns_median\": {},", r.ast_ns_median);
-        let _ = writeln!(
-            json,
-            "      \"vm_rounds_per_sec\": {},",
-            r.vm_rounds_per_sec
-        );
-        let _ = writeln!(
-            json,
-            "      \"ast_rounds_per_sec\": {},",
-            r.ast_rounds_per_sec
-        );
-        let _ = writeln!(json, "      \"vm_ns_per_step\": {},", r.vm_ns_per_step);
-        let _ = writeln!(json, "      \"ast_ns_per_step\": {},", r.ast_ns_per_step);
-        let _ = writeln!(json, "      \"speedup\": {:.3}", r.speedup);
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < results.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).expect("write bench output");
+    let per_case = results.iter().map(|r| {
+        Json::obj([
+            ("case", r.id.into()),
+            ("rounds", r.rounds.into()),
+            ("steps_per_round", r.steps_per_round.into()),
+            ("compile_ns", r.compile_ns.into()),
+            ("vm_ns_median", r.vm_ns_median.into()),
+            ("ast_ns_median", r.ast_ns_median.into()),
+            ("vm_rounds_per_sec", r.vm_rounds_per_sec.into()),
+            ("ast_rounds_per_sec", r.ast_rounds_per_sec.into()),
+            ("vm_ns_per_step", r.vm_ns_per_step.into()),
+            ("ast_ns_per_step", r.ast_ns_per_step.into()),
+            ("speedup", Json::rounded(r.speedup, 3)),
+        ])
+    });
+    let report = Json::obj([
+        ("bench", "sim".into()),
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("rounds_per_engine", rounds_per_engine.into()),
+        ("cases", results.len().into()),
+        ("cases_at_2x_or_better", at_2x.into()),
+        ("vm_slower_than_ast_cases", slower.into()),
+        ("per_case", per_case.collect()),
+    ]);
+    write_report(&out_path, &report);
 
     println!("{}", table.render());
     println!(

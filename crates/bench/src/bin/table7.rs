@@ -4,7 +4,9 @@
 //! phases (see `anduril-core::trace`) rather than from `ctx.timings`, so
 //! the table exercises the same spans `anduril trace --summary` reports.
 
-use anduril_bench::{phase_ns, prepare_with_trace, TextTable};
+use anduril_bench::{phase_ns, TextTable};
+use anduril_core::trace::VecTracer;
+use anduril_core::SearchContext;
 use anduril_failures::all_cases;
 
 fn main() {
@@ -17,11 +19,17 @@ fn main() {
         "Total",
     ]);
     for case in all_cases() {
-        let (p, trace) = prepare_with_trace(case);
+        let failure_log = case
+            .failure_log()
+            .unwrap_or_else(|e| panic!("{}: failure log: {e}", case.id));
+        let tracer = VecTracer::new();
+        SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, &tracer)
+            .unwrap_or_else(|e| panic!("{}: context: {e}", case.id));
+        let trace = tracer.take();
         let us = |name: &str| format!("{:.1} us", phase_ns(&trace, name) as f64 / 1e3);
         t.row(vec![
-            format!("{} ({})", p.case.ticket, p.case.id),
-            p.ctx.scenario.program.stmt_count().to_string(),
+            format!("{} ({})", case.ticket, case.id),
+            case.scenario.program.stmt_count().to_string(),
             us("graph.exception"),
             us("graph.slicing"),
             us("graph.chaining"),

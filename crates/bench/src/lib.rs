@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use anduril_core::trace::{TraceEvent, VecTracer};
+use anduril_core::trace::{Json, TraceEvent};
 use anduril_core::{explore, ExplorerConfig, Reproduction, SearchContext, Strategy};
 use anduril_failures::{FailureCase, GroundTruth};
 
@@ -50,33 +50,46 @@ pub fn prepare(case: FailureCase) -> PreparedCase {
     }
 }
 
-/// [`prepare`] with the context-phase trace captured: returns the
-/// prepared case plus the [`TraceEvent`] stream of the preparation, so
-/// bench binaries can derive timing tables from trace spans instead of
-/// reaching into `ctx.timings`.
+/// `failure_log` with every entry (line plus continuation lines) of
+/// `ctx`'s nearest observable stripped: the prepared observable whose
+/// minimum graph distance over candidate sites is smallest, the strongest
+/// guidance signal. This simulates log rotation or rate limiting dropping
+/// the messages around a failure, and yields a stall-prone context.
+/// `None` when no observable reaches a candidate site.
+pub fn strip_nearest_observable(ctx: &SearchContext, failure_log: &str) -> Option<String> {
+    let (_, nearest) = (0..ctx.observables.len())
+        .filter_map(|k| ctx.distances[k].values().min().map(|&d| (d, k)))
+        .min()?;
+    let template = &ctx.scenario.program.templates[ctx.observables[nearest].template.index()];
+    let mut degraded = String::new();
+    let mut drop = false;
+    for line in failure_log.lines() {
+        // An entry opens with an eight-digit timestamp; its continuation
+        // lines (exception name, `at` frames) share its fate.
+        let is_entry = line.len() > 9
+            && line.as_bytes()[..8].iter().all(u8::is_ascii_digit)
+            && line.as_bytes()[8] == b' ';
+        if is_entry {
+            drop = line
+                .split_once(" - ")
+                .is_some_and(|(_, body)| template.matches(body));
+        }
+        if !drop {
+            degraded.push_str(line);
+            degraded.push('\n');
+        }
+    }
+    Some(degraded)
+}
+
+/// Writes a bench report to `path` as an indented JSON document.
 ///
 /// # Panics
 ///
-/// Same contract as [`prepare`].
-pub fn prepare_with_trace(case: FailureCase) -> (PreparedCase, Vec<TraceEvent>) {
-    let gt = case
-        .ground_truth()
-        .unwrap_or_else(|e| panic!("{}: ground truth: {e}", case.id));
-    let failure_log = case
-        .failure_log()
-        .unwrap_or_else(|e| panic!("{}: failure log: {e}", case.id));
-    let tracer = VecTracer::new();
-    let ctx = SearchContext::prepare_traced(case.scenario.clone(), &failure_log, 1_000, &tracer)
-        .unwrap_or_else(|e| panic!("{}: context: {e}", case.id));
-    (
-        PreparedCase {
-            case,
-            failure_log,
-            ctx,
-            gt,
-        },
-        tracer.take(),
-    )
+/// Panics if the file cannot be written.
+pub fn write_report(path: &str, report: &Json) {
+    std::fs::write(path, format!("{report:#}\n"))
+        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }
 
 /// Sums the host-nanosecond spans of the named context phase in a trace

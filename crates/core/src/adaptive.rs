@@ -58,35 +58,27 @@ use crate::context::{FaultUnit, SearchContext};
 use crate::strategy::Strategy;
 use crate::trace::TraceEvent;
 
+/// Total promotions allowed over one exploration (caps the `I_k` growth
+/// and keeps late passes comparable to early ones).
+const MAX_PROMOTIONS: usize = 8;
+
+/// Refinement (tier 2) promotions attempted per stall signal. Coverage
+/// (tier 1) promotions are deliberately *not* rationed per stall: an
+/// uncovered site is invisible to planning, and stalls grow rarer as
+/// promotions lengthen passes, so trickling coverage out one stall at a
+/// time can starve the sites found last. Only `MAX_PROMOTIONS` bounds
+/// tier 1.
+const PER_STALL: usize = 1;
+
+/// How many worst-ranked sites tier 2 scores candidates around.
+const FOCUS_SITES: usize = 3;
+
 /// Configuration of the adaptive promotion layer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AdaptiveConfig {
     /// Master switch. Off by default: baselines and the paper-faithful
     /// pipeline keep the frozen observable set, bit for bit.
     pub enabled: bool,
-    /// Total promotions allowed over one exploration (caps the `I_k`
-    /// growth and keeps late passes comparable to early ones).
-    pub max_promotions: usize,
-    /// Refinement (tier 2) promotions attempted per stall signal.
-    /// Coverage (tier 1) promotions are deliberately *not* rationed per
-    /// stall: an uncovered site is invisible to planning, and stalls grow
-    /// rarer as promotions lengthen passes, so trickling coverage out one
-    /// stall at a time can starve the sites found last. Only
-    /// [`AdaptiveConfig::max_promotions`] bounds tier 1.
-    pub per_stall: usize,
-    /// How many worst-ranked sites tier 2 scores candidates around.
-    pub focus_sites: usize,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            enabled: false,
-            max_promotions: 8,
-            per_stall: 1,
-            focus_sites: 3,
-        }
-    }
 }
 
 /// Per-exploration promotion bookkeeping, owned by the explorer state.
@@ -97,7 +89,7 @@ pub struct AdaptiveState {
 
 impl AdaptiveState {
     /// Reacts to a stall surfaced at `round` (the retry that starts pass
-    /// `pass`): promotes up to [`AdaptiveConfig::per_stall`] synthetic
+    /// `pass`): promotes up to `PER_STALL` synthetic
     /// observables — coverage promotions for candidate sites no fault
     /// unit spans, then refinement promotions near the worst-ranked
     /// covered sites — into the context and the strategy, and returns one
@@ -117,7 +109,7 @@ impl AdaptiveState {
         round: usize,
         pass: usize,
     ) -> Vec<TraceEvent> {
-        if !cfg.enabled || self.promotions >= cfg.max_promotions {
+        if !cfg.enabled || self.promotions >= MAX_PROMOTIONS {
             return Vec::new();
         }
 
@@ -132,7 +124,6 @@ impl AdaptiveState {
 
         let mut events = Vec::new();
         self.promote_coverage(
-            cfg,
             ctx,
             strategy,
             round,
@@ -141,16 +132,7 @@ impl AdaptiveState {
             &common,
             &mut events,
         );
-        self.promote_refinement(
-            cfg,
-            ctx,
-            strategy,
-            round,
-            pass,
-            &exclude,
-            &common,
-            &mut events,
-        );
+        self.promote_refinement(ctx, strategy, round, pass, &exclude, &common, &mut events);
         events
     }
 
@@ -163,7 +145,6 @@ impl AdaptiveState {
     #[allow(clippy::too_many_arguments)]
     fn promote_coverage(
         &mut self,
-        cfg: &AdaptiveConfig,
         ctx: &SearchContext,
         strategy: &mut dyn Strategy,
         round: usize,
@@ -184,7 +165,7 @@ impl AdaptiveState {
 
         let mut scratch = Vec::new();
         for site in uncovered {
-            if self.promotions >= cfg.max_promotions {
+            if self.promotions >= MAX_PROMOTIONS {
                 return;
             }
             // A later coverage promotion in this same loop may have
@@ -255,7 +236,6 @@ impl AdaptiveState {
     #[allow(clippy::too_many_arguments)]
     fn promote_refinement(
         &mut self,
-        cfg: &AdaptiveConfig,
         ctx: &SearchContext,
         strategy: &mut dyn Strategy,
         round: usize,
@@ -264,14 +244,14 @@ impl AdaptiveState {
         common: &HashSet<TemplateId>,
         events: &mut Vec<TraceEvent>,
     ) {
-        if events.len() >= cfg.per_stall || self.promotions >= cfg.max_promotions {
+        if events.len() >= PER_STALL || self.promotions >= MAX_PROMOTIONS {
             return;
         }
         // Worst coverage first: the tail of the strategy's own ranking is
         // the highest finite `F_i` — the sites the current observables
         // guide least.
         let ranked = strategy.ranked_sites();
-        let sites: Vec<SiteId> = ranked.iter().rev().copied().take(cfg.focus_sites).collect();
+        let sites: Vec<SiteId> = ranked.iter().rev().copied().take(FOCUS_SITES).collect();
         if sites.is_empty() {
             return;
         }
@@ -283,7 +263,7 @@ impl AdaptiveState {
 
         let mut scratch = Vec::new();
         for cand in candidates {
-            if events.len() >= cfg.per_stall || self.promotions >= cfg.max_promotions {
+            if events.len() >= PER_STALL || self.promotions >= MAX_PROMOTIONS {
                 break;
             }
             let distances = ctx

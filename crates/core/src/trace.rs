@@ -38,10 +38,10 @@
 //!
 //! # Format
 //!
-//! [`FileTracer`] writes one hand-rolled JSON object per line (the style
-//! of `anduril analyze`), parseable by the minimal reader in [`Json`] and
-//! rendered by the `anduril trace` subcommand.
+//! [`FileTracer`] writes one compact [`Json`] object per line, which the
+//! same type parses back and the `anduril trace` subcommand renders.
 
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
@@ -289,84 +289,80 @@ pub enum TraceEvent {
     },
 }
 
-/// Formats an `f64` as a JSON number (`null` when not finite, integer form
-/// when exact) so the stream stays deterministic and parseable.
-fn jf(v: f64) -> String {
-    if !v.is_finite() {
-        "null".to_string()
-    } else if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+impl PlanProvenance {
+    fn to_value(&self) -> Json {
+        Json::obj([
+            ("site", self.site.0.into()),
+            ("exc", self.exc.name().into()),
+            ("occ", self.occurrence.into()),
+            ("f", self.f_i.into()),
+            ("k", self.k_star.into()),
+            ("l", self.l.into()),
+            ("ik", self.i_k.into()),
+            ("t", self.temporal.into()),
+        ])
     }
 }
 
-/// Escapes a string for a hand-rolled JSON document (the `analyze` style).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl StrategyNote {
+    /// The note's `note` name and its fields, in line order.
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        match self {
+            StrategyNote::RetryPass { pass } => {
+                vec![("note", "retry_pass".into()), ("pass", (*pass).into())]
+            }
+            StrategyNote::WindowGrew { window } => {
+                vec![("note", "window_grew".into()), ("window", (*window).into())]
+            }
+            StrategyNote::Retired { site, exc } => vec![
+                ("note", "retired".into()),
+                ("site", site.0.into()),
+                ("exc", exc.name().into()),
+            ],
+            StrategyNote::BoundPruned { count } => {
+                vec![("note", "bound_pruned".into()), ("count", (*count).into())]
+            }
+            StrategyNote::WindowExhausted { window, pass } => vec![
+                ("note", "window_exhausted".into()),
+                ("window", (*window).into()),
+                ("pass", (*pass).into()),
+            ],
         }
     }
-    out
-}
-
-fn usize_list(xs: &[usize]) -> String {
-    let body: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", body.join(","))
-}
-
-fn f64_list(xs: &[f64]) -> String {
-    let body: Vec<String> = xs.iter().map(|&x| jf(x)).collect();
-    format!("[{}]", body.join(","))
-}
-
-fn provenance_json(p: &PlanProvenance) -> String {
-    format!(
-        "{{\"site\":{},\"exc\":\"{}\",\"occ\":{},\"f\":{},\"k\":{},\"l\":{},\"ik\":{},\"t\":{}}}",
-        p.site.0,
-        p.exc.name(),
-        p.occurrence
-            .map(|o| o.to_string())
-            .unwrap_or_else(|| "null".into()),
-        jf(p.f_i),
-        p.k_star,
-        p.l,
-        jf(p.i_k),
-        jf(p.temporal),
-    )
 }
 
 impl TraceEvent {
     /// Serializes the event as one JSONL line (no trailing newline),
     /// including the volatile host-time fields.
     pub fn to_json(&self) -> String {
-        self.render(true)
+        self.to_value(true).to_string()
     }
 
     /// The deterministic serialization: identical across repeated runs of
     /// the same search (volatile `*_ns` fields omitted).
     pub fn stable_json(&self) -> String {
-        self.render(false)
+        self.to_value(false).to_string()
     }
 
-    fn render(&self, volatile: bool) -> String {
-        use std::fmt::Write as _;
-        match self {
-            TraceEvent::ContextPhase { phase, items, ns } => {
-                let mut s = format!("{{\"ev\":\"phase\",\"phase\":\"{phase}\",\"items\":{items}");
-                if volatile {
-                    let _ = write!(s, ",\"ns\":{ns}");
-                }
-                s.push('}');
-                s
+    /// The event as a JSON object; `volatile` keeps the host-time `*_ns`
+    /// field, which is always the last.
+    fn to_value(&self, volatile: bool) -> Json {
+        let timed = |mut fields: Vec<(&str, Json)>, key, ns: u64| {
+            if volatile {
+                fields.push((key, ns.into()));
             }
+            Json::obj(fields)
+        };
+        match self {
+            TraceEvent::ContextPhase { phase, items, ns } => timed(
+                vec![
+                    ("ev", "phase".into()),
+                    ("phase", (*phase).into()),
+                    ("items", (*items).into()),
+                ],
+                "ns",
+                *ns,
+            ),
             TraceEvent::ContextReady {
                 observables,
                 units,
@@ -375,68 +371,56 @@ impl TraceEvent {
                 sites_bounded,
                 graph_nodes,
                 graph_edges,
-            } => format!(
-                "{{\"ev\":\"context\",\"observables\":{observables},\"units\":{units},\
-                 \"sites_total\":{sites_total},\"sites_reachable\":{sites_reachable},\
-                 \"sites_bounded\":{sites_bounded},\
-                 \"graph_nodes\":{graph_nodes},\"graph_edges\":{graph_edges}}}"
-            ),
+            } => Json::obj([
+                ("ev", "context".into()),
+                ("observables", (*observables).into()),
+                ("units", (*units).into()),
+                ("sites_total", (*sites_total).into()),
+                ("sites_reachable", (*sites_reachable).into()),
+                ("sites_bounded", (*sites_bounded).into()),
+                ("graph_nodes", (*graph_nodes).into()),
+                ("graph_edges", (*graph_edges).into()),
+            ]),
             TraceEvent::ExploreStart {
                 strategy,
                 max_rounds,
                 base_seed,
-            } => format!(
-                "{{\"ev\":\"explore_start\",\"strategy\":\"{}\",\"max_rounds\":{max_rounds},\
-                 \"base_seed\":{base_seed}}}",
-                json_escape(strategy)
-            ),
-            TraceEvent::RoundStart { round, seed } => {
-                format!("{{\"ev\":\"round_start\",\"round\":{round},\"seed\":{seed}}}")
-            }
+            } => Json::obj([
+                ("ev", "explore_start".into()),
+                ("strategy", strategy.as_str().into()),
+                ("max_rounds", (*max_rounds).into()),
+                ("base_seed", (*base_seed).into()),
+            ]),
+            TraceEvent::RoundStart { round, seed } => Json::obj([
+                ("ev", "round_start".into()),
+                ("round", (*round).into()),
+                ("seed", (*seed).into()),
+            ]),
             TraceEvent::Decision {
                 round,
                 window,
                 armed,
                 provenance,
                 init_ns,
-            } => {
-                let mut s = format!(
-                    "{{\"ev\":\"decision\",\"round\":{round},\"window\":{window},\
-                     \"armed\":{armed},\"provenance\":{}",
-                    provenance
-                        .as_ref()
-                        .map(provenance_json)
-                        .unwrap_or_else(|| "null".into())
-                );
-                if volatile {
-                    let _ = write!(s, ",\"init_ns\":{init_ns}");
-                }
-                s.push('}');
-                s
+            } => timed(
+                vec![
+                    ("ev", "decision".into()),
+                    ("round", (*round).into()),
+                    ("window", (*window).into()),
+                    ("armed", (*armed).into()),
+                    (
+                        "provenance",
+                        provenance.as_ref().map(PlanProvenance::to_value).into(),
+                    ),
+                ],
+                "init_ns",
+                *init_ns,
+            ),
+            TraceEvent::Note { round, note } => {
+                let mut fields = vec![("ev", "note".into()), ("round", (*round).into())];
+                fields.extend(note.fields());
+                Json::obj(fields)
             }
-            TraceEvent::Note { round, note } => match note {
-                StrategyNote::RetryPass { pass } => format!(
-                    "{{\"ev\":\"note\",\"round\":{round},\"note\":\"retry_pass\",\"pass\":{pass}}}"
-                ),
-                StrategyNote::WindowGrew { window } => format!(
-                    "{{\"ev\":\"note\",\"round\":{round},\"note\":\"window_grew\",\
-                     \"window\":{window}}}"
-                ),
-                StrategyNote::Retired { site, exc } => format!(
-                    "{{\"ev\":\"note\",\"round\":{round},\"note\":\"retired\",\"site\":{},\
-                     \"exc\":\"{}\"}}",
-                    site.0,
-                    exc.name()
-                ),
-                StrategyNote::BoundPruned { count } => format!(
-                    "{{\"ev\":\"note\",\"round\":{round},\"note\":\"bound_pruned\",\
-                     \"count\":{count}}}"
-                ),
-                StrategyNote::WindowExhausted { window, pass } => format!(
-                    "{{\"ev\":\"note\",\"round\":{round},\"note\":\"window_exhausted\",\
-                     \"window\":{window},\"pass\":{pass}}}"
-                ),
-            },
             TraceEvent::ObservablePromoted {
                 round,
                 k,
@@ -448,16 +432,20 @@ impl TraceEvent {
                 l_new,
                 l_old,
                 units_added,
-            } => format!(
-                "{{\"ev\":\"promoted\",\"round\":{round},\"k\":{k},\"template\":\"{}\",\
-                 \"site\":{},\"node\":{node},\"node_desc\":\"{}\",\"pass\":{pass},\
-                 \"l_new\":{l_new},\"l_old\":{l_old},\"delta\":{},\
-                 \"units_added\":{units_added}}}",
-                json_escape(template),
-                site.0,
-                json_escape(node_desc),
-                *l_old as i64 - *l_new as i64
-            ),
+            } => Json::obj([
+                ("ev", "promoted".into()),
+                ("round", (*round).into()),
+                ("k", (*k).into()),
+                ("template", template.as_str().into()),
+                ("site", site.0.into()),
+                ("node", (*node).into()),
+                ("node_desc", node_desc.as_str().into()),
+                ("pass", (*pass).into()),
+                ("l_new", (*l_new).into()),
+                ("l_old", (*l_old).into()),
+                ("delta", (f64::from(*l_old) - f64::from(*l_new)).into()),
+                ("units_added", (*units_added).into()),
+            ]),
             TraceEvent::RoundEnd {
                 round,
                 injected,
@@ -468,39 +456,40 @@ impl TraceEvent {
                 injection_requests,
                 workload_ns,
             } => {
-                let inj = injected
-                    .as_ref()
-                    .map(|(site, occ, exc)| {
-                        format!(
-                            "{{\"site\":{},\"occ\":{occ},\"exc\":\"{}\"}}",
-                            site.0,
-                            exc.name()
-                        )
-                    })
-                    .unwrap_or_else(|| "null".into());
-                let mut s = format!(
-                    "{{\"ev\":\"round_end\",\"round\":{round},\"injected\":{inj},\
-                     \"oracle\":{oracle},\"ticks\":{ticks},\"steps\":{steps},\
-                     \"log_entries\":{log_entries},\"injection_requests\":{injection_requests}"
-                );
-                if volatile {
-                    let _ = write!(s, ",\"workload_ns\":{workload_ns}");
-                }
-                s.push('}');
-                s
+                let injected = injected.map(|(site, occ, exc)| {
+                    Json::obj([
+                        ("site", site.0.into()),
+                        ("occ", occ.into()),
+                        ("exc", exc.name().into()),
+                    ])
+                });
+                timed(
+                    vec![
+                        ("ev", "round_end".into()),
+                        ("round", (*round).into()),
+                        ("injected", injected.into()),
+                        ("oracle", (*oracle).into()),
+                        ("ticks", (*ticks).into()),
+                        ("steps", (*steps).into()),
+                        ("log_entries", (*log_entries).into()),
+                        ("injection_requests", (*injection_requests).into()),
+                    ],
+                    "workload_ns",
+                    *workload_ns,
+                )
             }
             TraceEvent::Feedback {
                 round,
                 present,
                 adjust,
                 i_k,
-            } => format!(
-                "{{\"ev\":\"feedback\",\"round\":{round},\"present\":{},\"adjust\":{},\
-                 \"ik\":{}}}",
-                usize_list(present),
-                jf(*adjust),
-                f64_list(i_k)
-            ),
+            } => Json::obj([
+                ("ev", "feedback".into()),
+                ("round", (*round).into()),
+                ("present", present.iter().copied().collect()),
+                ("adjust", (*adjust).into()),
+                ("ik", i_k.iter().copied().collect()),
+            ]),
             TraceEvent::ProvenanceChain {
                 round,
                 seed,
@@ -514,34 +503,36 @@ impl TraceEvent {
                 i_k,
                 f_i,
                 temporal,
-            } => format!(
-                "{{\"ev\":\"provenance\",\"round\":{round},\"seed\":{seed},\"site\":{},\
-                 \"desc\":\"{}\",\"occ\":{occurrence},\"exc\":\"{}\",\"observable\":\"{}\",\
-                 \"k\":{k_star},\"l\":{l},\"ik\":{},\"f\":{},\"t\":{}}}",
-                site.0,
-                json_escape(desc),
-                exc.name(),
-                json_escape(observable),
-                jf(*i_k),
-                jf(*f_i),
-                temporal.map(jf).unwrap_or_else(|| "null".into())
-            ),
+            } => Json::obj([
+                ("ev", "provenance".into()),
+                ("round", (*round).into()),
+                ("seed", (*seed).into()),
+                ("site", site.0.into()),
+                ("desc", desc.as_str().into()),
+                ("occ", (*occurrence).into()),
+                ("exc", exc.name().into()),
+                ("observable", observable.as_str().into()),
+                ("k", (*k_star).into()),
+                ("l", (*l).into()),
+                ("ik", (*i_k).into()),
+                ("f", (*f_i).into()),
+                ("t", (*temporal).into()),
+            ]),
             TraceEvent::ExploreEnd {
                 success,
                 rounds,
                 replay_verified,
                 wall_ns,
-            } => {
-                let mut s = format!(
-                    "{{\"ev\":\"explore_end\",\"success\":{success},\"rounds\":{rounds},\
-                     \"replay_verified\":{replay_verified}"
-                );
-                if volatile {
-                    let _ = write!(s, ",\"wall_ns\":{wall_ns}");
-                }
-                s.push('}');
-                s
-            }
+            } => timed(
+                vec![
+                    ("ev", "explore_end".into()),
+                    ("success", (*success).into()),
+                    ("rounds", (*rounds).into()),
+                    ("replay_verified", (*replay_verified).into()),
+                ],
+                "wall_ns",
+                *wall_ns,
+            ),
         }
     }
 }
@@ -643,15 +634,26 @@ impl Drop for FileTracer {
     }
 }
 
-/// A minimal JSON value, just rich enough to read the trace stream back
-/// (`anduril trace` uses it; no external dependency).
+/// A minimal JSON value: the one reader and the one printer behind every
+/// JSON document the project writes or reads back — trace lines, the
+/// `anduril analyze` and `anduril trace --json` reports, and the bench
+/// files. No external dependency.
+///
+/// `{}` ([`Display`](fmt::Display)) prints the compact form, one JSONL
+/// line; `{:#}` prints an indented document, two spaces per level with
+/// `"key": value`, every non-empty array and object broken one element
+/// per line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (trace numbers all fit `f64` exactly).
+    /// An unsigned integer, printed exactly over the whole `u64` range (the
+    /// parser reads every plain digit string that fits into this variant).
+    UInt(u64),
+    /// Any other number. Non-finite values print as `null`; integral values
+    /// below `1e15` in magnitude print in integer form.
     Num(f64),
     /// A string.
     Str(String),
@@ -662,6 +664,21 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs, kept in the given order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// `v` rounded to `places` decimals, the precision a report commits to.
+    pub fn rounded(v: f64, places: usize) -> Json {
+        Json::Num(format!("{v:.places$}").parse().unwrap_or(v))
+    }
+
     /// Parses one JSON document; `None` on any syntax error or trailing
     /// garbage.
     pub fn parse(text: &str) -> Option<Json> {
@@ -687,6 +704,7 @@ impl Json {
     /// The value as a float, if numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::UInt(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -695,6 +713,7 @@ impl Json {
     /// The value as an unsigned integer, if numeric and exact.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::UInt(n) => Some(*n),
             Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
             _ => None,
         }
@@ -722,6 +741,132 @@ impl Json {
             Json::Arr(xs) => Some(xs),
             _ => None,
         }
+    }
+
+    /// Prints the value; `indent` is the current depth's indentation in the
+    /// document layout, `None` in the compact one.
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::UInt(n) => write!(f, "{n}"),
+            Json::Num(v) if !v.is_finite() => f.write_str("null"),
+            Json::Num(v) if v.fract() == 0.0 && v.abs() < 1e15 => write!(f, "{}", *v as i64),
+            Json::Num(v) => write!(f, "{v}"),
+            Json::Str(s) => write_escaped(f, s),
+            Json::Arr(items) => write_seq(f, indent, ['[', ']'], items, |f, item, inner| {
+                item.write(f, inner)
+            }),
+            Json::Obj(fields) => write_seq(f, indent, ['{', '}'], fields, |f, (k, v), inner| {
+                write_escaped(f, k)?;
+                f.write_str(if inner.is_some() { ": " } else { ":" })?;
+                v.write(f, inner)
+            }),
+        }
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, f.alternate().then_some(0))
+    }
+}
+
+/// Prints a bracketed, comma-separated sequence, one element per line
+/// when `indent` is set.
+fn write_seq<T>(
+    f: &mut fmt::Formatter<'_>,
+    indent: Option<usize>,
+    [open, close]: [char; 2],
+    items: &[T],
+    item: impl Fn(&mut fmt::Formatter<'_>, &T, Option<usize>) -> fmt::Result,
+) -> fmt::Result {
+    let inner = indent.map(|n| n + 2);
+    f.write_char(open)?;
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_char(',')?;
+        }
+        if let Some(n) = inner {
+            write!(f, "\n{:n$}", "")?;
+        }
+        item(f, x, inner)?;
+    }
+    match indent {
+        Some(n) if !items.is_empty() => write!(f, "\n{:n$}{close}", ""),
+        _ => f.write_char(close),
+    }
+}
+
+/// Prints `s` as a JSON string: quotes, backslashes and control characters
+/// escaped, everything else verbatim.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::UInt(n)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(n: u32) -> Json {
+        Json::UInt(n.into())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::UInt(n as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -762,11 +907,11 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Option<Json> {
     {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()?
-        .parse::<f64>()
-        .ok()
-        .map(Json::Num)
+    let text = std::str::from_utf8(&b[start..*pos]).ok()?;
+    match text.parse::<u64>() {
+        Ok(n) => Some(Json::UInt(n)),
+        Err(_) => text.parse::<f64>().ok().map(Json::Num),
+    }
 }
 
 fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
@@ -864,183 +1009,5 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Json> {
             }
             _ => return None,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_event_round_trips_through_the_parser() {
-        let events = vec![
-            TraceEvent::ContextPhase {
-                phase: "graph.slicing",
-                items: 42,
-                ns: 1234,
-            },
-            TraceEvent::ContextReady {
-                observables: 2,
-                units: 14,
-                sites_total: 40,
-                sites_reachable: 30,
-                sites_bounded: 28,
-                graph_nodes: 120,
-                graph_edges: 240,
-            },
-            TraceEvent::ExploreStart {
-                strategy: "full-feedback".into(),
-                max_rounds: 2000,
-                base_seed: 1000,
-            },
-            TraceEvent::RoundStart {
-                round: 0,
-                seed: 1001,
-            },
-            TraceEvent::Decision {
-                round: 0,
-                window: 10,
-                armed: 10,
-                provenance: Some(PlanProvenance {
-                    site: SiteId(3),
-                    exc: ExceptionType::Io,
-                    occurrence: Some(5),
-                    f_i: 2.0,
-                    k_star: 0,
-                    l: 2,
-                    i_k: 0.0,
-                    temporal: f64::INFINITY,
-                }),
-                init_ns: 77,
-            },
-            TraceEvent::Note {
-                round: 3,
-                note: StrategyNote::Retired {
-                    site: SiteId(4),
-                    exc: ExceptionType::Io,
-                },
-            },
-            TraceEvent::Note {
-                round: 9,
-                note: StrategyNote::WindowGrew { window: 20 },
-            },
-            TraceEvent::Note {
-                round: 12,
-                note: StrategyNote::RetryPass { pass: 1 },
-            },
-            TraceEvent::Note {
-                round: 13,
-                note: StrategyNote::BoundPruned { count: 6 },
-            },
-            TraceEvent::Note {
-                round: 14,
-                note: StrategyNote::WindowExhausted {
-                    window: 40,
-                    pass: 0,
-                },
-            },
-            TraceEvent::ObservablePromoted {
-                round: 14,
-                k: 3,
-                template: "wal rotated".into(),
-                site: SiteId(3),
-                node: 17,
-                node_desc: "condition @ b4:2".into(),
-                pass: 1,
-                l_new: 1,
-                l_old: 4,
-                units_added: 2,
-            },
-            TraceEvent::RoundEnd {
-                round: 0,
-                injected: Some((SiteId(3), 5, ExceptionType::Io)),
-                oracle: false,
-                ticks: 5000,
-                steps: 999,
-                log_entries: 55,
-                injection_requests: 12,
-                workload_ns: 1,
-            },
-            TraceEvent::Feedback {
-                round: 0,
-                present: vec![0, 2],
-                adjust: 1.0,
-                i_k: vec![1.0, 0.0, 1.5],
-            },
-            TraceEvent::ProvenanceChain {
-                round: 17,
-                seed: 1018,
-                site: SiteId(3),
-                desc: "write \"wal\"\tentry\u{1}".into(),
-                occurrence: 5,
-                exc: ExceptionType::Io,
-                observable: "sync failed: {}".into(),
-                k_star: 0,
-                l: 2,
-                i_k: 3.0,
-                f_i: 5.0,
-                temporal: Some(4.5),
-            },
-            TraceEvent::ExploreEnd {
-                success: true,
-                rounds: 18,
-                replay_verified: true,
-                wall_ns: 123,
-            },
-        ];
-        for ev in &events {
-            for line in [ev.to_json(), ev.stable_json()] {
-                let v = Json::parse(&line).unwrap_or_else(|| panic!("unparseable line: {line}"));
-                assert!(v.get("ev").and_then(Json::as_str).is_some(), "{line}");
-            }
-        }
-        // Volatile fields are present with `to_json` and absent from
-        // `stable_json`.
-        let end = events.last().unwrap().to_json();
-        assert!(end.contains("wall_ns"));
-        assert!(!events.last().unwrap().stable_json().contains("wall_ns"));
-        // Quotes, tabs and other control characters are escaped by
-        // `json_escape` and survive the parser round trip.
-        assert_eq!(
-            json_escape("write \"wal\"\tentry\u{1}"),
-            "write \\\"wal\\\"\\tentry\\u0001"
-        );
-        let chain = events
-            .iter()
-            .find(|e| matches!(e, TraceEvent::ProvenanceChain { .. }))
-            .unwrap();
-        let v = Json::parse(&chain.to_json()).unwrap();
-        assert_eq!(
-            v.get("desc").and_then(Json::as_str),
-            Some("write \"wal\"\tentry\u{1}")
-        );
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v =
-            Json::parse("{\"a\": [1, -2.5, \"x\\ny\", null, true], \"b\": {\"c\": \"\\u0041\"}}")
-                .expect("parse");
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 5);
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_str(),
-            Some("x\ny")
-        );
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("A"));
-        assert_eq!(Json::parse("{"), None);
-        assert_eq!(Json::parse("12 trailing"), None);
-    }
-
-    #[test]
-    fn non_finite_numbers_serialize_as_null() {
-        let ev = TraceEvent::Feedback {
-            round: 0,
-            present: vec![],
-            adjust: f64::INFINITY,
-            i_k: vec![f64::NAN],
-        };
-        let line = ev.to_json();
-        assert!(Json::parse(&line).is_some(), "{line}");
-        assert!(!line.contains("inf") && !line.contains("NaN"), "{line}");
     }
 }

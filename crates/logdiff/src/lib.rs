@@ -27,6 +27,3 @@ pub use compare::{compare, compare_global, compare_with, DiffResult, GroupedLog}
 pub use intern::{DiffRecord, InternTable, InternedLog, NO_MATCH_TOKEN};
 pub use myers::{myers_matches, unmatched_b};
 pub use parse::{parse_log, ParsedEntry};
-
-#[cfg(feature = "quadratic-oracle")]
-pub use myers::myers_matches_quadratic;

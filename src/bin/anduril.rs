@@ -10,7 +10,7 @@
 
 use anduril::baselines::{CrashTuner, Fate, StacktraceInjector};
 use anduril::failures::{all_cases, case_by_id, FailureCase};
-use anduril::trace::{json_escape, FileTracer, Json, NoopTracer, Tracer};
+use anduril::trace::{FileTracer, Json, NoopTracer, Tracer};
 use anduril::{
     explore_traced, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchContext, Strategy,
 };
@@ -163,69 +163,50 @@ fn analyze_case(case: &anduril::failures::FailureCase) -> AnalyzeRow {
     }
 }
 
-fn analyze_json(rows: &[AnalyzeRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"id\": \"{}\", \"ticket\": \"{}\", \"system\": \"{}\", \
-             \"sites_total\": {}, \"sites_reachable\": {}, \"sites_bounded\": {}, \
-             \"sites_inferred\": {}, \
-             \"units\": {}, \"nodes\": {}, \"edges\": {}, \
-             \"pruned_plan_ratio\": {:.4}, \"gt_dead\": {}, \
-             \"timings_ns\": {{\"exception\": {}, \"slicing\": {}, \"chaining\": {}, \"total\": {}}}, \
-             \"site_bounds\": [",
-            json_escape(r.id),
-            json_escape(r.ticket),
-            json_escape(r.system),
-            r.sites_total,
-            r.sites_reachable,
-            r.sites_bounded,
-            r.sites_inferred,
-            r.units,
-            r.nodes,
-            r.edges,
-            r.pruned_ratio,
-            r.gt_dead,
-            r.timings.exception_ns,
-            r.timings.slicing_ns,
-            r.timings.chaining_ns,
-            r.timings.total_ns,
-        );
-        for (j, (site, desc, lo, hi)) in r.site_bounds.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"site\": {site}, \"desc\": \"{}\", \"lo\": {lo}, \"hi\": {}}}",
-                if j > 0 { ", " } else { "" },
-                json_escape(desc),
-                hi.map(|h| h.to_string()).unwrap_or_else(|| "null".into()),
-            );
-        }
-        out.push_str("], \"observables\": [");
-        for (j, (text, min)) in r.observables.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"template\": \"{}\", \"min_distance\": {}}}",
-                if j > 0 { ", " } else { "" },
-                json_escape(text),
-                min.map(|d| d.to_string()).unwrap_or_else(|| "null".into()),
-            );
-        }
-        out.push_str("], \"lints\": [");
-        for (j, l) in r.lints.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\"",
-                if j > 0 { ", " } else { "" },
-                json_escape(l)
-            );
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn analyze_json(rows: &[AnalyzeRow]) -> Json {
+    let case = |r: &AnalyzeRow| {
+        let site_bounds = r.site_bounds.iter().map(|(site, desc, lo, hi)| {
+            Json::obj([
+                ("site", (*site).into()),
+                ("desc", desc.as_str().into()),
+                ("lo", (*lo).into()),
+                ("hi", (*hi).into()),
+            ])
+        });
+        let observables = r.observables.iter().map(|(text, min)| {
+            Json::obj([
+                ("template", text.as_str().into()),
+                ("min_distance", (*min).into()),
+            ])
+        });
+        Json::obj([
+            ("id", r.id.into()),
+            ("ticket", r.ticket.into()),
+            ("system", r.system.into()),
+            ("sites_total", r.sites_total.into()),
+            ("sites_reachable", r.sites_reachable.into()),
+            ("sites_bounded", r.sites_bounded.into()),
+            ("sites_inferred", r.sites_inferred.into()),
+            ("units", r.units.into()),
+            ("nodes", r.nodes.into()),
+            ("edges", r.edges.into()),
+            ("pruned_plan_ratio", Json::rounded(r.pruned_ratio, 4)),
+            ("gt_dead", r.gt_dead.into()),
+            (
+                "timings_ns",
+                Json::obj([
+                    ("exception", r.timings.exception_ns.into()),
+                    ("slicing", r.timings.slicing_ns.into()),
+                    ("chaining", r.timings.chaining_ns.into()),
+                    ("total", r.timings.total_ns.into()),
+                ]),
+            ),
+            ("site_bounds", site_bounds.collect()),
+            ("observables", observables.collect()),
+            ("lints", r.lints.iter().map(String::as_str).collect()),
+        ])
+    };
+    Json::obj([("cases", rows.iter().map(case).collect())])
 }
 
 /// The `ev` kind of a parsed trace line (`"?"` when absent).
@@ -298,10 +279,10 @@ struct TraceRoundRow {
     workload_ns: u64,
 }
 
-fn collect_rounds(events: &[(String, Json)]) -> std::collections::BTreeMap<u64, TraceRoundRow> {
+fn collect_rounds(events: &[Json]) -> std::collections::BTreeMap<u64, TraceRoundRow> {
     let mut rounds: std::collections::BTreeMap<u64, TraceRoundRow> =
         std::collections::BTreeMap::new();
-    for (_, v) in events {
+    for v in events {
         let Some(r) = v.get("round").and_then(Json::as_u64) else {
             continue;
         };
@@ -357,15 +338,9 @@ fn sample_keys(keys: &[u64], head: usize, tail: usize) -> (Vec<u64>, bool) {
 }
 
 /// `anduril trace <file> --summary`: the human-readable search narrative.
-fn render_trace_summary(path: &str, events: &[(String, Json)]) {
-    let find = |kind: &str| events.iter().map(|(_, v)| v).find(|v| ev_kind(v) == kind);
-    let find_last = |kind: &str| {
-        events
-            .iter()
-            .map(|(_, v)| v)
-            .rev()
-            .find(|v| ev_kind(v) == kind)
-    };
+fn render_trace_summary(path: &str, events: &[Json]) {
+    let find = |kind: &str| events.iter().find(|v| ev_kind(v) == kind);
+    let find_last = |kind: &str| events.iter().rev().find(|v| ev_kind(v) == kind);
 
     println!("Search trace {path} ({} events)", events.len());
     if let Some(s) = find("explore_start") {
@@ -403,11 +378,7 @@ fn render_trace_summary(path: &str, events: &[(String, Json)]) {
         None => println!("outcome: trace ends mid-search (no explore_end event)"),
     }
 
-    let phases: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "phase")
-        .collect();
+    let phases: Vec<&Json> = events.iter().filter(|v| ev_kind(v) == "phase").collect();
     let context_ns: u64 = phases
         .iter()
         .filter(|p| !jstr(p, "phase").starts_with("graph."))
@@ -482,11 +453,7 @@ fn render_trace_summary(path: &str, events: &[(String, Json)]) {
         }
     }
 
-    let feedback: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "feedback")
-        .collect();
+    let feedback: Vec<&Json> = events.iter().filter(|v| ev_kind(v) == "feedback").collect();
     if !feedback.is_empty() {
         println!("\nObservable feedback (I_k evolution, Algorithm 2)");
         let mut t = anduril_bench::TextTable::new(&["Round", "Adjust", "Present", "I_k"]);
@@ -550,11 +517,7 @@ fn render_trace_summary(path: &str, events: &[(String, Json)]) {
         fmt_ns(workload_ns / n)
     );
 
-    let notes: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "note")
-        .collect();
+    let notes: Vec<&Json> = events.iter().filter(|v| ev_kind(v) == "note").collect();
     if !notes.is_empty() {
         let retry = notes
             .iter()
@@ -593,11 +556,7 @@ fn render_trace_summary(path: &str, events: &[(String, Json)]) {
         );
     }
 
-    let promos: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "promoted")
-        .collect();
+    let promos: Vec<&Json> = events.iter().filter(|v| ev_kind(v) == "promoted").collect();
     if !promos.is_empty() {
         println!(
             "\nAdaptive promotions ({}; `--promotions` for detail)",
@@ -644,9 +603,9 @@ fn render_trace_summary(path: &str, events: &[(String, Json)]) {
 }
 
 /// `anduril trace <file> --round N`: every event of one round, rendered.
-fn render_trace_round(events: &[(String, Json)], n: u64) {
+fn render_trace_round(events: &[Json], n: u64) {
     let mut found = false;
-    for (_, v) in events {
+    for v in events {
         if v.get("round").and_then(Json::as_u64) != Some(n) {
             continue;
         }
@@ -773,12 +732,8 @@ fn render_trace_round(events: &[(String, Json)], n: u64) {
 
 /// `anduril trace <file> --promotions`: every adaptive observable
 /// promotion with its full provenance.
-fn render_trace_promotions(events: &[(String, Json)]) {
-    let promos: Vec<&Json> = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "promoted")
-        .collect();
+fn render_trace_promotions(events: &[Json]) {
+    let promos: Vec<&Json> = events.iter().filter(|v| ev_kind(v) == "promoted").collect();
     if promos.is_empty() {
         println!("no observable promotions in the trace (run with --adaptive on)");
         return;
@@ -822,63 +777,40 @@ fn render_trace_promotions(events: &[(String, Json)]) {
 }
 
 /// `anduril trace <file> --json`: the aggregate summary as one JSON
-/// document (raw event objects embedded verbatim where useful).
-fn trace_report_json(events: &[(String, Json)]) -> String {
-    use std::fmt::Write as _;
-    let find_raw = |kind: &str| {
-        events
-            .iter()
-            .find(|(_, v)| ev_kind(v) == kind)
-            .map(|(raw, _)| raw.trim().to_string())
-            .unwrap_or_else(|| "null".into())
-    };
+/// document, with the parsed event objects embedded where useful.
+fn trace_report_json(events: &[Json]) -> Json {
+    let of_kind = |kind: &'static str| events.iter().filter(move |v| ev_kind(v) == kind);
+    let first = |kind| of_kind(kind).next().cloned().unwrap_or(Json::Null);
+    let notes = |name: &'static str| of_kind("note").filter(move |v| jstr(v, "note") == name);
     let rounds = collect_rounds(events);
     let planning_ns: u64 = rounds.values().map(|r| r.init_ns).sum();
     let workload_ns: u64 = rounds.values().map(|r| r.workload_ns).sum();
-    let note_count = |name: &str| {
-        events
-            .iter()
-            .filter(|(_, v)| ev_kind(v) == "note" && jstr(v, "note") == name)
-            .count()
-    };
-    let phases: Vec<String> = events
-        .iter()
-        .filter(|(_, v)| ev_kind(v) == "phase")
-        .map(|(raw, _)| raw.trim().to_string())
-        .collect();
-
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"events\": {},", events.len());
-    let _ = writeln!(out, "  \"explore_start\": {},", find_raw("explore_start"));
-    let _ = writeln!(out, "  \"context\": {},", find_raw("context"));
-    let _ = writeln!(out, "  \"phases\": [{}],", phases.join(", "));
-    let _ = writeln!(out, "  \"rounds\": {},", rounds.len());
-    let _ = writeln!(out, "  \"planning_ns_total\": {planning_ns},");
-    let _ = writeln!(out, "  \"workload_ns_total\": {workload_ns},");
-    let bound_pruned: u64 = events
-        .iter()
-        .map(|(_, v)| v)
-        .filter(|v| ev_kind(v) == "note" && jstr(v, "note") == "bound_pruned")
-        .map(|v| junum(v, "count"))
-        .sum();
-    let _ = writeln!(
-        out,
-        "  \"notes\": {{\"retry_passes\": {}, \"windows_exhausted\": {}, \"window_growths\": {}, \"retired\": {}, \"bound_pruned_plans\": {bound_pruned}}},",
-        note_count("retry_pass"),
-        note_count("window_exhausted"),
-        note_count("window_grew"),
-        note_count("retired")
-    );
-    let promotions: Vec<String> = events
-        .iter()
-        .filter(|(_, v)| ev_kind(v) == "promoted")
-        .map(|(raw, _)| raw.trim().to_string())
-        .collect();
-    let _ = writeln!(out, "  \"promotions\": [{}],", promotions.join(", "));
-    let _ = writeln!(out, "  \"provenance\": {},", find_raw("provenance"));
-    let _ = writeln!(out, "  \"explore_end\": {}", find_raw("explore_end"));
-    out.push_str("}\n");
-    out
+    let bound_pruned: u64 = notes("bound_pruned").map(|v| junum(v, "count")).sum();
+    Json::obj([
+        ("events", events.len().into()),
+        ("explore_start", first("explore_start")),
+        ("context", first("context")),
+        ("phases", of_kind("phase").cloned().collect()),
+        ("rounds", rounds.len().into()),
+        ("planning_ns_total", planning_ns.into()),
+        ("workload_ns_total", workload_ns.into()),
+        (
+            "notes",
+            Json::obj([
+                ("retry_passes", notes("retry_pass").count().into()),
+                (
+                    "windows_exhausted",
+                    notes("window_exhausted").count().into(),
+                ),
+                ("window_growths", notes("window_grew").count().into()),
+                ("retired", notes("retired").count().into()),
+                ("bound_pruned_plans", bound_pruned.into()),
+            ]),
+        ),
+        ("promotions", of_kind("promoted").cloned().collect()),
+        ("provenance", first("provenance")),
+        ("explore_end", first("explore_end")),
+    ])
 }
 
 fn feedback_config_by_name(name: &str) -> Option<FeedbackConfig> {
@@ -1052,7 +984,7 @@ fn main() {
                 print!("{report}");
             }
 
-            let json = analyze_json(&rows);
+            let json = format!("{:#}\n", analyze_json(&rows));
             match json_path.as_deref() {
                 Some("-") => print!("{json}"),
                 Some(path) => {
@@ -1226,7 +1158,7 @@ fn main() {
             }
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(format!("cannot read `{path}`: {e}")));
-            let mut events: Vec<(String, Json)> = Vec::new();
+            let mut events: Vec<Json> = Vec::new();
             for (lineno, line) in text.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
@@ -1239,7 +1171,7 @@ fn main() {
                         lineno + 1
                     ));
                 }
-                events.push((line.to_string(), v));
+                events.push(v);
             }
             if events.is_empty() {
                 fail(format!("`{path}` contains no trace events"));
@@ -1248,7 +1180,7 @@ fn main() {
                 Mode::Summary => render_trace_summary(path, &events),
                 Mode::Round(n) => render_trace_round(&events, n),
                 Mode::Promotions => render_trace_promotions(&events),
-                Mode::Json => print!("{}", trace_report_json(&events)),
+                Mode::Json => println!("{:#}", trace_report_json(&events)),
             }
         }
         Some("explain") => {
