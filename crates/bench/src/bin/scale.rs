@@ -4,48 +4,11 @@
 //! At this scale the gap between feedback-driven search and the
 //! coverage-oriented strategies becomes the paper's headline gap.
 
-use anduril_bench::TextTable;
+use anduril_bench::{scaled, TextTable, SCALED_CASES};
 use anduril_core::{
     explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchContext, Strategy,
 };
-use anduril_failures::{case_by_id, FailureCase};
-use anduril_ir::Value;
 use anduril_sim::InjectionPlan;
-
-/// Builds the scaled configuration of one case.
-fn scaled(id: &str) -> FailureCase {
-    let mut case = case_by_id(id).expect("case");
-    match id {
-        "f17" => {
-            for node in &mut case.scenario.topology.nodes {
-                match node.name.as_str() {
-                    "client" => node.args = vec![Value::Int(900)],
-                    "rs1" => node.args = vec![Value::Int(40), Value::Int(0), Value::Int(1_500)],
-                    _ => {}
-                }
-            }
-            case.scenario.config.max_time = 90_000;
-        }
-        "f1" => {
-            for node in &mut case.scenario.topology.nodes {
-                if node.name == "client" {
-                    node.args = vec![Value::Int(150)];
-                }
-            }
-            case.scenario.config.max_time = 90_000;
-        }
-        "f16" => {
-            for node in &mut case.scenario.topology.nodes {
-                if node.name == "client" {
-                    node.args = vec![Value::Int(60)];
-                }
-            }
-            case.scenario.config.max_time = 90_000;
-        }
-        _ => unreachable!("no scaled config for {id}"),
-    }
-    case
-}
 
 fn main() {
     let mut t = TextTable::new(&[
@@ -57,9 +20,11 @@ fn main() {
         "exhaustive",
         "fate",
     ]);
-    for id in ["f17", "f1", "f16"] {
-        let case = scaled(id);
-        let gt = case.ground_truth().expect("scaled ground truth");
+    for id in SCALED_CASES {
+        let mut case = scaled(id).expect("scaled configuration");
+        // New inputs, so the pin is re-derived.
+        case.root_occurrence = case.scan_root_occurrence().expect("scaled ground truth");
+        let gt = case.ground_truth().expect("root site");
         let normal = case
             .scenario
             .run(case.failure_seed, InjectionPlan::none())

@@ -24,8 +24,11 @@ fn main() {
                     node.args = vec![Value::Int(arg)];
                 }
             }
-            match case.ground_truth() {
-                Ok(gt) => {
+            // New inputs, so the pin is re-derived.
+            match case.scan_root_occurrence() {
+                Ok(occurrence) => {
+                    case.root_occurrence = occurrence;
+                    let gt = case.ground_truth().expect("root site");
                     let failure_log = case.failure_log().expect("failure log");
                     let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000)
                         .expect("context");

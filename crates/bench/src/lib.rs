@@ -12,7 +12,8 @@ use std::fmt::Write as _;
 
 use anduril_core::trace::{Json, TraceEvent};
 use anduril_core::{explore, ExplorerConfig, Reproduction, SearchContext, Strategy};
-use anduril_failures::{FailureCase, GroundTruth};
+use anduril_failures::{case_by_id, FailureCase, GroundTruth};
+use anduril_ir::Value;
 
 /// A failure case prepared for exploration: failure log generated, context
 /// (normal run + causal graph) built, ground truth resolved.
@@ -48,6 +49,33 @@ pub fn prepare(case: FailureCase) -> PreparedCase {
         ctx,
         gt,
     }
+}
+
+/// The cases the scale stress runs at a 10–15× topology.
+pub const SCALED_CASES: [&str; 3] = ["f17", "f1", "f16"];
+
+/// A case at its 10–15× topology: the registry case with larger workload
+/// arguments and a longer time limit. `None` for a case with no scaled
+/// configuration.
+///
+/// The case keeps its registry pin. `scaled_topologies_keep_the_registry_pins`
+/// checks that the scan derives the same occurrence at these topologies, so
+/// the scaled failure log is the registry case's failure plan.
+pub fn scaled(id: &str) -> Option<FailureCase> {
+    let args: &[(&str, &[i64])] = match id {
+        "f17" => &[("client", &[900]), ("rs1", &[40, 0, 1_500])],
+        "f1" => &[("client", &[150])],
+        "f16" => &[("client", &[60])],
+        _ => return None,
+    };
+    let mut case = case_by_id(id)?;
+    for node in &mut case.scenario.topology.nodes {
+        if let Some((_, values)) = args.iter().find(|(name, _)| *name == node.name) {
+            node.args = values.iter().map(|&v| Value::Int(v)).collect();
+        }
+    }
+    case.scenario.config.max_time = 90_000;
+    Some(case)
 }
 
 /// `failure_log` with every entry (line plus continuation lines) of
@@ -222,6 +250,21 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("id"));
         assert!(lines[2].starts_with("a      "));
+    }
+
+    /// The scaled topologies change the root site's occurrence counts, yet
+    /// the scan still derives each registry pin there, so a scaled case
+    /// that keeps its pin replays the same failure plan.
+    #[test]
+    fn scaled_topologies_keep_the_registry_pins() {
+        let pins = SCALED_CASES.map(|id| {
+            let case = scaled(id).expect("scaled configuration");
+            let scanned = case.scan_root_occurrence().expect("scaled scan");
+            assert_eq!(scanned, case.root_occurrence, "{id}");
+            (id, scanned)
+        });
+        assert_eq!(pins, [("f17", 4), ("f1", 3), ("f16", 0)]);
+        assert!(scaled("f2").is_none());
     }
 
     #[test]

@@ -49,6 +49,11 @@ pub struct FailureCase {
     pub root_site_desc: &'static str,
     /// Exception the root cause throws (Table 5's "Injected Fault").
     pub root_exc: ExceptionType,
+    /// Dynamic occurrence of the root site the fault hits under
+    /// `failure_seed`: ticket data, like the site. A caller that changes
+    /// the case's inputs re-derives it with
+    /// [`FailureCase::scan_root_occurrence`].
+    pub root_occurrence: u32,
     /// Seed of the production failure run.
     pub failure_seed: u64,
     /// Alternative deeper causes (empty for most cases).
@@ -90,50 +95,24 @@ impl FailureCase {
             .ok_or_else(|| CaseError::NoSuchSite(self.root_site_desc.to_string()))
     }
 
-    /// Resolves the ground truth: scans the root site's dynamic occurrences
-    /// under the failure seed for one that satisfies the oracle.
-    ///
-    /// This mirrors the paper's setup: the tickets are resolved, so the
-    /// root-cause *site* is known, and the failure log is obtained "by
-    /// manually reproducing the failure first based on the ground truth".
+    /// The ground truth: the pinned root occurrence of the root site under
+    /// the failure seed. A lookup; nothing is simulated.
     pub fn ground_truth(&self) -> Result<GroundTruth, CaseError> {
-        let site = self.root_site()?;
-        let normal = self
-            .scenario
-            .run(self.failure_seed, InjectionPlan::none())
-            .map_err(|e| CaseError::Sim(e.to_string()))?;
-        let total = normal.site_occurrences[site.index()];
-        for occurrence in 0..total.max(1) {
-            let r = self
-                .scenario
-                .run(
-                    self.failure_seed,
-                    InjectionPlan::exact(site, occurrence, self.root_exc),
-                )
-                .map_err(|e| CaseError::Sim(e.to_string()))?;
-            if r.injected.is_some() && self.oracle.check(&r) {
-                return Ok(GroundTruth {
-                    site,
-                    occurrence,
-                    exc: self.root_exc,
-                    seed: self.failure_seed,
-                });
-            }
-        }
-        Err(CaseError::NotReproducible(format!(
-            "{}: no occurrence of {} (of {total}) satisfies the oracle",
-            self.id, self.root_site_desc
-        )))
+        Ok(GroundTruth {
+            site: self.root_site()?,
+            occurrence: self.root_occurrence,
+            exc: self.root_exc,
+            seed: self.failure_seed,
+        })
     }
 
-    /// Renders the "production" failure log for this case.
+    /// Renders the "production" failure log: one run of the ground truth's
+    /// plan. This mirrors the paper's setup, where the failure log is
+    /// obtained "by manually reproducing the failure first based on the
+    /// ground truth"; a pin that does not fire or does not satisfy the
+    /// oracle is [`CaseError::NotReproducible`].
     pub fn failure_log(&self) -> Result<String, CaseError> {
-        self.failure_log_for(&self.ground_truth()?)
-    }
-
-    /// Renders the failure log for an already-resolved ground truth: one
-    /// run of its plan, without repeating the occurrence scan.
-    pub fn failure_log_for(&self, gt: &GroundTruth) -> Result<String, CaseError> {
+        let gt = self.ground_truth()?;
         let r = self
             .scenario
             .run(
@@ -141,7 +120,46 @@ impl FailureCase {
                 InjectionPlan::exact(gt.site, gt.occurrence, gt.exc),
             )
             .map_err(|e| CaseError::Sim(e.to_string()))?;
-        Ok(r.log_text())
+        if r.injected.is_some() && self.oracle.check(&r) {
+            Ok(r.log_text())
+        } else {
+            Err(CaseError::NotReproducible(format!(
+                "{}: occurrence {} of {} does not reproduce the failure",
+                self.id, gt.occurrence, self.root_site_desc
+            )))
+        }
+    }
+
+    /// Derives the root occurrence from the case's inputs: the first
+    /// occurrence of the root site whose exact injection fires and satisfies
+    /// the oracle under the failure seed. A plan fires exactly when the
+    /// site runs that often, and a run whose plan never fires equals the
+    /// fault-free run, so the scan stops at the first occurrence that does
+    /// not fire: the fault-free occurrence count.
+    pub fn scan_root_occurrence(&self) -> Result<u32, CaseError> {
+        let site = self.root_site()?;
+        let compiled = anduril_ir::lower::compile(&self.scenario.program);
+        let mut occurrence = 0;
+        loop {
+            let r = self
+                .scenario
+                .run_compiled(
+                    &compiled,
+                    self.failure_seed,
+                    InjectionPlan::exact(site, occurrence, self.root_exc),
+                )
+                .map_err(|e| CaseError::Sim(e.to_string()))?;
+            if r.injected.is_none() {
+                return Err(CaseError::NotReproducible(format!(
+                    "{}: no occurrence of {} (of {occurrence}) satisfies the oracle",
+                    self.id, self.root_site_desc
+                )));
+            }
+            if self.oracle.check(&r) {
+                return Ok(occurrence);
+            }
+            occurrence += 1;
+        }
     }
 
     /// Checks that the workload alone (no injection) does **not** satisfy

@@ -51,6 +51,7 @@ pub fn f21() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F21,
         root_exc: ExceptionType::Io,
+        root_occurrence: 1,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -75,6 +76,7 @@ pub fn f22() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F22,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![DeeperCause {
             site_desc: names::SITE_F22_DEEPER,

@@ -80,6 +80,7 @@ pub fn f12() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F12,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![DeeperCause {
             site_desc: "zk.addReplicationPeer",
@@ -118,6 +119,7 @@ pub fn f13() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F13,
         root_exc: ExceptionType::Io,
+        root_occurrence: 3,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -148,6 +150,7 @@ pub fn f14() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F14,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -180,6 +183,7 @@ pub fn f15() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F15,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -212,6 +216,7 @@ pub fn f16() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F16,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -244,6 +249,7 @@ pub fn f17() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F17,
         root_exc: ExceptionType::Io,
+        root_occurrence: 4,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }

@@ -107,6 +107,7 @@ pub fn f5() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F5,
         root_exc: ExceptionType::FileNotFound,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -144,6 +145,7 @@ pub fn f6() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F6,
         root_exc: ExceptionType::Interrupted,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -174,6 +176,7 @@ pub fn f7() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F7,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![DeeperCause {
             site_desc: names::SITE_F7_DEEPER,
@@ -215,6 +218,7 @@ pub fn f8() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F8,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -246,6 +250,7 @@ pub fn f9() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F9,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -282,6 +287,7 @@ pub fn f10() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F10,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -315,6 +321,7 @@ pub fn f11() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F11,
         root_exc: ExceptionType::Socket,
+        root_occurrence: 1,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }

@@ -53,6 +53,7 @@ pub fn f18() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F18,
         root_exc: ExceptionType::Io,
+        root_occurrence: 2,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -91,6 +92,7 @@ pub fn f19() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F19,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![DeeperCause {
             site_desc: "store.appendConfigLog",
@@ -132,6 +134,7 @@ pub fn f20() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F20,
         root_exc: ExceptionType::Io,
+        root_occurrence: 3,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }

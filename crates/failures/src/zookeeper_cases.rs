@@ -67,6 +67,7 @@ pub fn f1() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F1,
         root_exc: ExceptionType::Io,
+        root_occurrence: 3,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -87,6 +88,7 @@ pub fn f2() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F2,
         root_exc: ExceptionType::Io,
+        root_occurrence: 5,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -107,6 +109,7 @@ pub fn f3() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F3,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![],
     }
@@ -128,6 +131,7 @@ pub fn f4() -> FailureCase {
         ]),
         root_site_desc: names::SITE_F4,
         root_exc: ExceptionType::Io,
+        root_occurrence: 0,
         failure_seed: 2_024,
         deeper_causes: vec![DeeperCause {
             site_desc: names::SITE_F4_DEEPER,

@@ -44,18 +44,21 @@ mod tests {
         assert_eq!(a.stmts, b.stmts);
     }
 
-    /// A single-fault case is sound end to end and resolves its own
-    /// ground truth through the stock `FailureCase` machinery.
+    /// A single-fault case is sound end to end: scanning it through the
+    /// stock `FailureCase` machinery finds the plant, and its pinned ground
+    /// truth renders the planted failure log.
     #[test]
     fn single_fault_case_is_sound_and_resolvable() {
         let cfg = GenConfig::new(7);
         let gc = generate_one(&cfg, 0).expect("generate");
         assert_eq!(gc.plant.len(), 1);
         verify_sound(&gc).expect("sound");
+        let scanned = gc.case.scan_root_occurrence().expect("scan resolves");
+        assert_eq!(scanned, gc.plant[0].occurrence);
         let gt = gc.case.ground_truth().expect("ground truth resolves");
         assert_eq!(gt.site, gc.plant[0].site);
-        assert_eq!(gt.occurrence, gc.plant[0].occurrence);
         assert_eq!(gt.exc, gc.plant[0].exc);
+        assert_eq!(gc.case.failure_log().expect("failure log"), gc.failure_log);
     }
 
     /// A multi-fault case needs both injections: the pair satisfies the

@@ -164,8 +164,8 @@ fn oracle_for(gp: &GenProgram) -> Oracle {
 
 /// Plants the single fault: scans occurrences of the critical site under
 /// the failure seed until one satisfies the oracle (the phase gate makes
-/// early occurrences recoverable), mirroring `FailureCase::ground_truth`
-/// resolution so the packaged case resolves to exactly this plant.
+/// early occurrences recoverable), the rule `FailureCase::scan_root_occurrence`
+/// derives a pin by, so scanning the packaged case finds exactly this plant.
 fn plant_single(
     scenario: &Scenario,
     gp: &GenProgram,
@@ -337,6 +337,9 @@ pub fn generate_one(cfg: &GenConfig, index: usize) -> Result<GeneratedCase, GenE
         oracle,
         root_site_desc: leak(gp.critical_site_desc.clone()),
         root_exc: gp.critical_exc,
+        // The critical fault is planted last (after the poisoner in a
+        // cascade).
+        root_occurrence: plant.last().expect("a plant holds a fault").occurrence,
         failure_seed,
         deeper_causes: vec![],
         scenario,

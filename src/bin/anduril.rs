@@ -1062,7 +1062,7 @@ fn main() {
                 .ground_truth()
                 .unwrap_or_else(|e| fail(format!("{}: ground truth: {e}", case.id)));
             let failure_log = case
-                .failure_log_for(&gt)
+                .failure_log()
                 .unwrap_or_else(|e| fail(format!("{}: failure log: {e}", case.id)));
             let mut scenario = case.scenario.clone();
             if let Some(e) = engine {

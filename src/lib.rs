@@ -28,7 +28,11 @@
 //! use anduril::failures::case_by_id;
 //!
 //! let case = case_by_id("f17").expect("motivating example");
-//! let failure_log = case.failure_log().expect("ground truth resolvable");
+//! // The root cause is ticket data: looking it up simulates nothing.
+//! let gt = case.ground_truth().expect("root site exists");
+//! assert_eq!(gt.occurrence, case.root_occurrence);
+//! // One run of the pinned plan, checked against the oracle.
+//! let failure_log = case.failure_log().expect("pin reproduces the failure");
 //! let (repro, _ctx) = reproduce(
 //!     case.scenario.clone(),
 //!     &failure_log,

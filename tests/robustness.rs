@@ -11,12 +11,15 @@ use anduril::{explore, ExplorerConfig, FeedbackConfig, FeedbackStrategy, SearchC
 fn reproduce_with_failure_seed(id: &str, failure_seed: u64) -> bool {
     let mut case = case_by_id(id).expect("case");
     case.failure_seed = failure_seed;
-    // The ground truth scan may land on a different occurrence under the
-    // new seed; some seeds may not reach the failure state at all (the
-    // paper's probabilistic-reproduction caveat, §6). Skip those.
-    let Ok(gt) = case.ground_truth() else {
+    // A new seed is a new input, so the pin is re-derived: the scan may
+    // land on a different occurrence, and some seeds may not reach the
+    // failure state at all (the paper's probabilistic-reproduction caveat,
+    // §6). Skip those.
+    let Ok(occurrence) = case.scan_root_occurrence() else {
         return true;
     };
+    case.root_occurrence = occurrence;
+    let gt = case.ground_truth().expect("root site");
     let failure_log = case.failure_log().expect("failure log");
     let ctx = SearchContext::prepare(case.scenario.clone(), &failure_log, 1_000).expect("context");
     let mut strategy = FeedbackStrategy::new(FeedbackConfig::full());
